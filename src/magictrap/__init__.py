@@ -55,7 +55,6 @@ from .stark import (
 from .units import (
     AU_POL_TO_MHZ_PER_W_CM2,
     DEBYE_KVCM_TO_MHZ,
-    FieldConfig,
     IncompatibleUnitsError,
     MoleculeFileError,
     MoleculeSpec,
@@ -70,7 +69,7 @@ __all__ = [
     "__version__",
     "three_j", "c_tensor_element", "f_factor",
     "Quantity", "convert", "IncompatibleUnitsError",
-    "MoleculeSpec", "MoleculeFileError", "FieldConfig",
+    "MoleculeSpec", "MoleculeFileError",
     "load_molecule", "bundled_molecule_names", "alpha_lambda_at",
     "DEBYE_KVCM_TO_MHZ", "AU_POL_TO_MHZ_PER_W_CM2",
     "StateLabel", "StarkBlock", "StarkEigensystem",

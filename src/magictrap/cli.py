@@ -91,9 +91,21 @@ def _range_arg(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"range bounds must be numbers, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"range needs lo < hi, got {text!r}")
     return lo, hi
+
+
+def _scan_points_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"scan points must be an integer, got {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 scan points, got {n}")
+    return n
 
 
 def _pol_arg(text: str) -> str:
@@ -499,7 +511,7 @@ def build_parser() -> _Parser:
     p.add_argument("--range", type=_range_arg, default=(0.0, 15.0), help="search range lo:hi in kV/cm")
     p.add_argument("--nu", type=float, default=9174.0)
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--scan-points", type=int, default=64)
+    p.add_argument("--scan-points", type=_scan_points_arg, default=64)
     add_output(p)
     p.set_defaults(handler=_cmd_find_magic_field)
 

@@ -2,9 +2,15 @@
 
 A magic field for a state pair is the DC field at which their effective
 polarizabilities coincide; a magic angle is the linear-polarization angle
-doing the same job at every field. Roots are found by a coarse scan that
-brackets sign changes followed by Brent refinement, which stays robust
-near the degenerate case (difference identically zero at the magic angle).
+doing the same job at every field.
+
+Magic fields come from one batched scan in beta = d E / B: a single
+``stark.dressed_moments`` call per |M| block gives the dressed <C_20> and
+<C_2,+2> moments at every scan node, and ``alpha_eff_from_moments`` turns
+them into the pair's alpha_eff difference. Sign changes between nodes are
+refined by Brent's method on that same kernel, one field at a time; a node
+where the difference is exactly zero is itself a root. A difference that is
+~0 on most nodes (the magic angle) is reported as degenerate instead.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .polarizability import (
     MAGIC_ANGLE_DEG,
     PolarizationVector,
     alpha_eff,
+    alpha_eff_from_moments,
     alpha_tensor_closed_form,
     stark_shift,
 )
@@ -170,15 +177,20 @@ class CrossingReport:
     alpha_diff_at_root: float
 
 
-def _alpha_difference_fn(molecule, pair, polarization, nu_cm, j_max):
-    a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
+def _root_brackets(vals) -> list:
+    """Scan cells that hold a root, in scan order.
 
-    def diff(e_dc: float) -> float:
-        t_a, t_b = _tensors_for(molecule, e_dc, pair, j_max, a_par, a_perp, polarization)
-        return alpha_eff(t_a, polarization) - alpha_eff(t_b, polarization)
-
-    abar = (a_par + 2.0 * a_perp) / 3.0
-    return diff, abar
+    ``(i, i)`` marks an exact zero on node i (the last node included);
+    ``(i, i + 1)`` a strict sign change between neighbouring nodes. A zero
+    node is never also the end of a sign-change cell, so it is reported once.
+    """
+    out = []
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            out.append((i, i))
+        elif i + 1 < len(vals) and v * vals[i + 1] < 0.0:
+            out.append((i, i + 1))
+    return out
 
 
 def find_magic_fields(
@@ -192,10 +204,13 @@ def find_magic_fields(
 ) -> list:
     """All crossings of the pair's alpha_eff difference in the field range.
 
-    Coarse scan to bracket sign changes, then Brent refinement to a
-    relative field tolerance well below 1e-8. Raises NoCrossingError when
-    the difference keeps one sign, DegenerateDifferenceError when it is
-    identically ~0 over most of the range (e.g. magic-angle polarization).
+    The difference comes straight from the dressed moments: one batched
+    ``stark.dressed_moments`` call per |M| block covers every scan node at
+    beta = d E / B, and Brent refinement of each bracketed sign change, to
+    a relative field tolerance well below 1e-8, evaluates the same kernel
+    one field at a time. Raises NoCrossingError when the difference keeps
+    one sign, DegenerateDifferenceError when it is identically ~0 over most
+    of the range (e.g. magic-angle polarization).
     """
     state_a, state_b = pair
     lo, hi = float(e_range[0]), float(e_range[1])
@@ -203,10 +218,30 @@ def find_magic_fields(
         raise ValueError("need e_range[0] < e_range[1]")
     if lo < 0:
         raise ValueError("fields must be >= 0")
-    diff, abar = _alpha_difference_fn(molecule, pair, polarization, nu_cm, j_max)
+    if scan_points < 2:
+        raise ValueError(f"need scan_points >= 2, got {scan_points}")
+    for lb in pair:
+        if lb.j_tilde > j_max:
+            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
+    a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
+    abar = (a_par + 2.0 * a_perp) / 3.0
+
+    def alphas(e_dc):
+        betas = molecule.beta(np.asarray(e_dc, dtype=float))
+        moments = {m: stark.dressed_moments(m, betas, j_max) for m in {abs(state_a.m), abs(state_b.m)}}
+        out = []
+        for lb in pair:
+            _, c20, c22 = moments[abs(lb.m)]
+            k = lb.j_tilde - abs(lb.m)
+            out.append(alpha_eff_from_moments(lb, c20[..., k], c22[..., k], a_par, a_perp, polarization))
+        return out
+
+    def diff(e_dc):
+        a, b = alphas(e_dc)
+        return a - b
 
     grid = np.linspace(lo, hi, scan_points)
-    vals = np.array([diff(e) for e in grid])
+    vals = diff(grid)
 
     near_zero = np.abs(vals) < _DEGENERATE_RTOL * abs(abar)
     if np.count_nonzero(near_zero) > 0.5 * scan_points:
@@ -218,16 +253,14 @@ def find_magic_fields(
         )
 
     reports = []
-    for i in range(scan_points - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0 and not near_zero[i]:
-            root, bracket, tol = a, (a, a), 0.0
-        elif fa * fb < 0.0:
-            root = brentq(diff, a, b, xtol=1e-15, rtol=1e-12)
-            bracket, tol = (a, b), 1e-12 * abs(root) + 1e-15
+    for i, j in _root_brackets(vals):
+        a, b = float(grid[i]), float(grid[j])
+        if i == j:
+            root, tol = a, 0.0
         else:
-            continue
+            root = brentq(lambda e: float(diff(e)), a, b, xtol=1e-15, rtol=1e-12)
+            tol = 1e-12 * abs(root) + 1e-15
+        alpha_a, alpha_b = alphas(root)
         reports.append(
             CrossingReport(
                 state_a=state_a,
@@ -237,10 +270,10 @@ def find_magic_fields(
                 polarization=str(polarization),
                 e_star_kv_cm=float(root),
                 beta_star=molecule.beta(float(root)),
-                bracket=bracket,
+                bracket=(a, b),
                 achieved_tol=tol,
-                alpha_eff_at_root=_alpha_eff_at(molecule, pair[0], polarization, nu_cm, j_max, float(root)),
-                alpha_diff_at_root=float(diff(float(root))),
+                alpha_eff_at_root=float(alpha_a),
+                alpha_diff_at_root=float(alpha_a - alpha_b),
             )
         )
     if not reports:
@@ -250,12 +283,6 @@ def find_magic_fields(
             f"[{vals.min():.6g}, {vals.max():.6g}] a.u."
         )
     return reports
-
-
-def _alpha_eff_at(molecule, label, polarization, nu_cm, j_max, e_dc):
-    a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
-    (tens,) = _tensors_for(molecule, e_dc, [label], j_max, a_par, a_perp, polarization)
-    return alpha_eff(tens, polarization)
 
 
 def find_magic_field(

@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import c_tensor_element, f_factor, three_j
-from .stark import StarkEigensystem, StateLabel, dressed_c20
+from .angular import c_tensor_element, f_factor, three_j  # noqa: F401  (c_tensor_element is looked up here by external tools)
+from .stark import StarkEigensystem, StateLabel, dressed_c20, dressed_c22_coherence
 from .units import AU_POL_TO_MHZ_PER_W_CM2
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "alpha_tensor_branches",
     "alpha_tensor_sos",
     "alpha_eff",
+    "alpha_eff_from_moments",
     "stark_shift",
     "irreducible_decompose",
     "alpha_angle_scan",
@@ -206,26 +207,6 @@ class StarkShift:
 
 def _branch_sign(branch: str) -> int:
     return {"+": 1, "-": -1}[branch]
-
-
-def dressed_c22_coherence(sys: StarkEigensystem, j_tilde: int) -> float:
-    """<J_tilde,+1|C_2,+2|J_tilde,-1>, the rank-2 coherence of an |M|=1 pair.
-
-    Zero for |M| != 1 since C_2q cannot bridge a 2|M| > 2 projection gap.
-    """
-    if abs(sys.m) != 1:
-        return 0.0
-    row = sys.amplitudes(j_tilde)
-    js = list(sys.j_values)
-    total = 0.0
-    for i, j in enumerate(js):
-        for k, jp in enumerate(js):
-            if abs(jp - j) > 2:
-                continue
-            elem = c_tensor_element(2, 2, j, 1, jp, -1)
-            if elem:
-                total += row[i] * row[k] * elem
-    return total
 
 
 # quadratic form with <+M|...|-M> structure: (eps_x - i eps_y)(eps*_x - i eps*_y)
@@ -401,6 +382,44 @@ def alpha_eff(tensor: PolarizabilityTensor, polarization: PolarizationVector) ->
     e = polarization.array
     val = np.einsum("ab,a,b->", tensor.matrix, e, e.conj())
     return float(val.real)
+
+
+def alpha_eff_from_moments(
+    label: StateLabel,
+    c20,
+    c22,
+    alpha_par: float,
+    alpha_perp: float,
+    polarization: PolarizationVector,
+):
+    """alpha_eff straight from a state's rank-2 moments, vectorised over them.
+
+    Equals ``alpha_eff(alpha_tensor_closed_form(sys, label, ...,
+    polarization), polarization)`` without building tensors: ``c20`` and
+    ``c22`` are <C_20> and the |M| = 1 coherence <C_2,+2> (arrays of any
+    one shape, e.g. from ``stark.dressed_moments``). The diagonal part is
+    (abar - da <C_20>/3) |eps_perp|^2 + (abar + 2 da <C_20>/3) |eps_z|^2. A
+    +/- branch adds +/-|c|, c = da t (eps^T K eps*), with the sign the light
+    assigns to that branch, or +/-Re c where it cannot split the pair
+    (|c| below the same degeneracy threshold the tensor route uses).
+    """
+    abar = (alpha_par + 2.0 * alpha_perp) / 3.0
+    da = alpha_par - alpha_perp
+    e = polarization.array
+    w = np.abs(e) ** 2
+    c0 = np.asarray(c20, dtype=float)
+    out = (abar - da * c0 / 3.0) * (w[0] + w[1]) + (abar + 2.0 * da * c0 / 3.0) * w[2]
+    if label.m == 0:
+        return out
+    if not label.branch:
+        raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
+    c = da * np.asarray(c22, dtype=float) * complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+    scale = max(abs(alpha_par), abs(alpha_perp), 1e-300)
+    # as in _resolve_branch_vectors: the + branch is the stationary combination
+    # closer to (|+M> + |-M>)/sqrt(2), which takes +|c| when Re c >= 0
+    split = np.where(c.real >= 0.0, np.abs(c), -np.abs(c))
+    split = np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, c.real, split)
+    return out + _branch_sign(label.branch) * split
 
 
 def stark_shift(

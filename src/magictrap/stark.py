@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,8 @@ __all__ = [
     "solve",
     "alignment",
     "dressed_c20",
+    "dressed_c22_coherence",
+    "dressed_moments",
     "check_convergence",
 ]
 
@@ -119,26 +122,54 @@ class StarkEigensystem:
         return self.u[self.index_of(j_tilde)]
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """Field-independent rotor matrices of one |M| block over J = |M| .. J_max."""
+
+    rot: np.ndarray    # diag J(J+1)
+    c10: np.ndarray    # <JM|C_10|J'M>, tridiagonal
+    c20: np.ndarray    # <JM|C_20|J'M>, pentadiagonal
+    c22: np.ndarray    # <J,+1|C_2,+2|J',-1>; all zero unless |M| = 1
+
+
+@lru_cache(maxsize=None)
+def _geometry(m_abs: int, j_max: int) -> _Geometry:
+    """The matrices every M-block calculation contracts against, built once.
+
+    Matrix elements depend on |M| only, so +M and -M blocks share them.
+    The arrays are read-only because every caller shares them.
+    """
+    js = range(m_abs, j_max + 1)
+
+    def matrix(l, q, m, mp):
+        return np.array([[c_tensor_element(l, q, j, m, jp, mp) for jp in js] for j in js])
+
+    rot = np.diag([float(j * (j + 1)) for j in js])
+    c10 = matrix(1, 0, m_abs, m_abs)
+    c20 = matrix(2, 0, m_abs, m_abs)
+    c22 = matrix(2, 2, 1, -1) if m_abs == 1 else np.zeros_like(c20)
+    for a in (rot, c10, c20, c22):
+        a.setflags(write=False)
+    return _Geometry(rot=rot, c10=c10, c20=c20, c22=c22)
+
+
+def _check_j_max(m: int, j_max: int) -> None:
+    if j_max < abs(m) + 3:
+        raise ValueError(f"j_max must be >= |m| + 3 (got j_max = {j_max}, m = {m})")
+
+
 def build_block(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> StarkBlock:
     """Assemble the M-block Hamiltonian at DC field ``e_dc_kv_cm``.
 
     Entries H_{JJ'} = B J(J+1) delta_{JJ'} - d00 E <C_10 geometry>, in MHz.
     Requires j_max >= |m| + 3 so every retained state has mixing headroom.
     """
-    if j_max < abs(m) + 3:
-        raise ValueError(f"j_max must be >= |m| + 3 (got j_max = {j_max}, m = {m})")
+    _check_j_max(m, j_max)
     if e_dc_kv_cm < 0:
         raise ValueError("E_dc must be >= 0")
     de_mhz = spec.d00_debye * e_dc_kv_cm * DEBYE_KVCM_TO_MHZ
-    js = list(range(abs(m), j_max + 1))
-    n = len(js)
-    h = np.zeros((n, n))
-    for i, j in enumerate(js):
-        h[i, i] = spec.b_mhz * j * (j + 1)
-    for i in range(n - 1):
-        v = -de_mhz * c_tensor_element(1, 0, js[i], m, js[i + 1], m)
-        h[i, i + 1] = v
-        h[i + 1, i] = v
+    js = np.arange(abs(m), j_max + 1)
+    h = np.diag(spec.b_mhz * js * (js + 1)) - de_mhz * _geometry(abs(m), j_max).c10
     h.setflags(write=False)
     return StarkBlock(m=m, j_max=j_max, b_mhz=spec.b_mhz, de_mhz=de_mhz, h=h)
 
@@ -178,19 +209,44 @@ def alignment(sys: StarkEigensystem, j_tilde: int) -> float:
 def dressed_c20(sys: StarkEigensystem, j_tilde: int) -> float:
     """<C_20> in the dressed state: sum_{J J'} u_J u_J' <JM|C_20|J'M>."""
     row = sys.amplitudes(j_tilde)
-    js = list(sys.j_values)
-    total = 0.0
-    for i, j in enumerate(js):
-        for k in range(i, len(js)):
-            jp = js[k]
-            if jp - j > 2:
-                break
-            elem = c_tensor_element(2, 0, j, sys.m, jp, sys.m)
-            if elem == 0.0:
-                continue
-            weight = row[i] * row[k]
-            total += weight * elem if k == i else 2.0 * weight * elem
-    return total
+    return float(row @ _geometry(abs(sys.m), sys.j_max).c20 @ row)
+
+
+def dressed_c22_coherence(sys: StarkEigensystem, j_tilde: int) -> float:
+    """<J_tilde,+1|C_2,+2|J_tilde,-1>, the rank-2 coherence of an |M|=1 pair.
+
+    Zero for |M| != 1 since C_2q cannot bridge a 2|M| > 2 projection gap.
+    """
+    if abs(sys.m) != 1:
+        return 0.0
+    row = sys.amplitudes(j_tilde)
+    return float(row @ _geometry(1, sys.j_max).c22 @ row)
+
+
+def dressed_moments(m: int, betas, j_max: int = 10):
+    """Energies and rank-2 moments of every state of one M block, batched over beta.
+
+    Builds H/B = diag J(J+1) - beta C_10 for the whole array ``betas``
+    (beta = d E / B, any shape) and diagonalizes the stack at once. Returns
+    ``(energies, c20, c22)``, each of shape ``betas.shape + (n,)`` with the
+    last axis over J_tilde = |M| .. j_max: energies in units of B, <C_20>,
+    and the |M| = 1 coherence <J_tilde,+1|C_2,+2|J_tilde,-1> (zero for
+    other |M|). Both moments are quadratic in the eigenvector, so its sign
+    convention does not enter.
+    """
+    _check_j_max(m, j_max)
+    betas = np.asarray(betas, dtype=float)
+    if not np.all(np.isfinite(betas) & (betas >= 0)):
+        raise ValueError("beta must be finite and >= 0")
+    geo = _geometry(abs(m), j_max)
+    energies, vecs = np.linalg.eigh(geo.rot - betas[..., None, None] * geo.c10)
+
+    def moment(op):
+        # column k of vecs is state k: sum_{J J'} v_Jk op_JJ' v_J'k
+        return np.sum(vecs * (op @ vecs), axis=-2)
+
+    c22 = moment(geo.c22) if abs(m) == 1 else np.zeros_like(energies)
+    return energies, moment(geo.c20), c22
 
 
 def check_convergence(

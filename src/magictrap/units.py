@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Quantity",
     "MoleculeSpec",
-    "FieldConfig",
     "IncompatibleUnitsError",
     "MoleculeFileError",
     "convert",
@@ -158,22 +157,6 @@ class MoleculeSpec:
     def field_for_beta(self, beta: float) -> float:
         """DC field in kV/cm at which d*E/B equals ``beta``."""
         return beta * self.b_mhz / (self.d00_debye * DEBYE_KVCM_TO_MHZ)
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """DC field + laser context. ``polarization`` is a PolarizationVector."""
-
-    e_dc_kv_cm: float
-    nu_cm: float
-    polarization: object
-    intensity_w_cm2: float | None = None
-
-    def __post_init__(self):
-        if self.e_dc_kv_cm < 0:
-            raise ValueError("E_dc must be >= 0")
-        if not self.nu_cm > 0:
-            raise ValueError("nu must be > 0")
 
 
 _BUNDLED = {"krb": "krb.molecule", "rbcs": "rbcs.molecule"}

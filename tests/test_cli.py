@@ -138,6 +138,10 @@ def test_convergence_flags_edge_state(capsys):
         ["polar", "--molecule", "KRb", "--states", "0,0", "--pol", "w"],
         ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "10:0", "--states", "0,0"],
         ["find-magic-field", "--molecule", "KRb", "--pair", "0,0"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--scan-points", "0"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--scan-points", "1"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--scan-points", "-3"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range", "0:inf"],
         ["lattice", "--format", "csv"],
         [],
     ],
@@ -146,6 +150,7 @@ def test_usage_errors_exit_1(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") or "error" in err.lower()
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

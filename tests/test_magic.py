@@ -7,6 +7,7 @@ from magictrap.magic import (
     DegenerateDifferenceError,
     NoCrossingError,
     SweepGrid,
+    _root_brackets,
     find_magic_field,
     find_magic_fields,
     magic_angle,
@@ -126,6 +127,32 @@ def test_find_magic_fields_returns_all_brackets():
     reps = find_magic_fields(RBCS, GROUND_PAIR, Z, e_range=(0.0, 15.0))
     assert len(reps) >= 1
     assert all(reps[i].e_star_kv_cm < reps[i + 1].e_star_kv_cm for i in range(len(reps) - 1))
+
+
+@pytest.mark.parametrize(
+    "vals, brackets",
+    [
+        ([1.0, 0.0, -1.0], [(1, 1)]),                     # zero node, reported once
+        ([3.0, 2.0, -1.0, 0.0], [(1, 2), (3, 3)]),        # last node; sign change next to a zero
+        ([-1.0, 0.0, 0.0, 2.0, -2.0], [(1, 1), (2, 2), (3, 4)]),
+        ([1.0, 2.0], []),
+    ],
+)
+def test_root_brackets(vals, brackets):
+    assert _root_brackets(np.array(vals)) == brackets
+
+
+def test_root_on_a_scan_node_is_reported_once():
+    e_star = KRB.field_for_beta(BETA_STAR)
+    for n in (3, 5, 9):
+        reps = find_magic_fields(KRB, GROUND_PAIR, Z, e_range=(0.0, 2.0 * e_star), scan_points=n)
+        assert len(reps) == 1
+        assert reps[0].e_star_kv_cm == pytest.approx(e_star, rel=1e-9)
+
+
+def test_scan_points_floor():
+    with pytest.raises(ValueError):
+        find_magic_fields(KRB, GROUND_PAIR, Z, scan_points=1)
 
 
 def test_polarization_invariance_for_m0_pair():

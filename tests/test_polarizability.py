@@ -12,6 +12,7 @@ from magictrap.polarizability import (
     PolarizationVector,
     alpha_angle_scan,
     alpha_eff,
+    alpha_eff_from_moments,
     alpha_tensor_branches,
     alpha_tensor_closed_form,
     alpha_tensor_sos,
@@ -19,7 +20,7 @@ from magictrap.polarizability import (
     irreducible_decompose,
     stark_shift,
 )
-from magictrap.stark import StateLabel, solve
+from magictrap.stark import StateLabel, dressed_moments, solve
 from magictrap.units import AU_POL_TO_MHZ_PER_W_CM2, load_molecule
 
 KRB = load_molecule("KRb")
@@ -195,6 +196,40 @@ def test_coherence_vanishes_for_m0_and_high_m():
     assert dressed_c22_coherence(block(KRB, 3.0, 0), 1) == 0.0
     assert dressed_c22_coherence(block(KRB, 3.0, 2), 2) == 0.0
     assert dressed_c22_coherence(block(KRB, 3.0, 1), 1) != 0.0
+
+
+@given(
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+    st.sampled_from([0, 1, 2]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["+", "-"]),
+    st.sampled_from(["z", "x", "sigma+", "sigma-"]) | st.floats(0.0, 180.0).map(lambda t: f"theta:{t!r}"),
+)
+@settings(max_examples=120, deadline=None)
+def test_alpha_eff_from_moments_matches_closed_form(beta, m, dj, branch, pol_text):
+    label = StateLabel(m + dj, m, branch if m else "")
+    pol = PolarizationVector.parse(pol_text)
+    sys = block(KRB, beta, m)
+    _, c20, c22 = dressed_moments(m, sys.beta, j_max=10)
+    got = alpha_eff_from_moments(label, c20[dj], c22[dj], A_PAR, A_PERP, pol)
+    ref = alpha_eff(alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, pol), pol)
+    assert abs(got - ref) <= 1e-13 * (A_PAR + 2 * A_PERP) / 3
+
+
+def test_alpha_eff_from_moments_degenerate_pair_under_z():
+    # z light cannot split the |M| = 1 pair; both branches keep the diagonal value
+    z = PolarizationVector.z()
+    sys = block(KRB, 3.0, 1)
+    _, c20, c22 = dressed_moments(1, [0.0, sys.beta], j_max=10)
+    for branch in ("+", "-"):
+        label = StateLabel(1, 1, branch)
+        tens = alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, z)
+        assert tens.degenerate
+        got = alpha_eff_from_moments(label, c20[:, 0], c22[:, 0], A_PAR, A_PERP, z)
+        assert got.shape == (2,)
+        assert abs(got[1] - alpha_eff(tens, z)) <= 1e-13 * (A_PAR + 2 * A_PERP) / 3
+    with pytest.raises(ValueError):
+        alpha_eff_from_moments(StateLabel(1, 1), c20[:, 0], c22[:, 0], A_PAR, A_PERP, z)
 
 
 def test_branchless_request_for_degenerate_pair_fails():

@@ -14,6 +14,8 @@ from magictrap.stark import (
     check_convergence,
     diagonalize,
     dressed_c20,
+    dressed_c22_coherence,
+    dressed_moments,
     solve,
 )
 from magictrap.units import DEBYE_KVCM_TO_MHZ, load_molecule
@@ -241,3 +243,41 @@ def test_eigensystem_properties_random_field(beta, m):
     assert np.max(np.abs(np.diag(recon) - sys.energies)) < 1e-9 * max(
         1.0, np.max(np.abs(sys.energies))
     )
+
+
+# ------------------------------------------------------------ batched kernel
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=8.0, allow_nan=False), min_size=1, max_size=6),
+    st.sampled_from([0, 1, 2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_dressed_moments_match_per_field_solve(betas, m):
+    energies, c20, c22 = dressed_moments(m, betas, j_max=10)
+    for i, beta in enumerate(betas):
+        sys = solve(KRB, KRB.field_for_beta(beta), m, j_max=10)
+        ref = sys.energies / KRB.b_mhz
+        assert np.max(np.abs(energies[i] - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
+        for k, jt in enumerate(sys.j_values):
+            assert c20[i, k] == pytest.approx(dressed_c20(sys, jt), rel=0, abs=1e-13)
+            assert c22[i, k] == pytest.approx(dressed_c22_coherence(sys, jt), rel=0, abs=1e-13)
+
+
+def test_dressed_moments_field_free_c20():
+    for m in (0, 1, 2):
+        energies, c20, _ = dressed_moments(m, 0.0, j_max=10)
+        js = np.arange(m, 11)
+        assert np.array_equal(energies, js * (js + 1.0))
+        ref = (js * (js + 1) - 3 * m ** 2) / ((2 * js - 1) * (2 * js + 3))
+        assert np.allclose(c20, ref, rtol=0, atol=1e-15)
+
+
+def test_dressed_moments_shapes_and_validation():
+    energies, c20, c22 = dressed_moments(1, np.zeros((3, 4)), j_max=10)
+    assert energies.shape == c20.shape == c22.shape == (3, 4, 10)
+    assert dressed_moments(2, [1.0], j_max=10)[2].tolist() == [[0.0] * 9]
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dressed_moments(0, [1.0, bad])
+    with pytest.raises(ValueError):
+        dressed_moments(2, 1.0, j_max=4)
