@@ -98,14 +98,40 @@ def _range_arg(text: str):
     return lo, hi
 
 
-def _scan_points_arg(text: str) -> int:
+def _finite_arg(text: str) -> float:
     try:
-        n = int(text)
+        x = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"scan points must be an integer, got {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 scan points, got {n}")
-    return n
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _grid_count_arg(noun: str):
+    """Parser for a grid size, which needs both ends: an integer >= 2."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{noun} must be an integer, got {text!r}") from None
+        if n < 2:
+            raise argparse.ArgumentTypeError(f"need at least 2 {noun}, got {n}")
+        return n
+
+    return parse
+
+
+def _check_basis(args) -> None:
+    """Reject a --jmax that stark would refuse for some requested state."""
+    labels = getattr(args, "states", None) or getattr(args, "pair", None)
+    if labels is None:
+        return
+    try:
+        stark._check_j_max(max(abs(lb.m) for lb in labels), args.jmax)
+    except ValueError as exc:
+        raise UsageError(f"--jmax: {exc}") from None
 
 
 def _pol_arg(text: str) -> str:
@@ -473,7 +499,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eigen", help="dressed-state energies and alignment")
     add_molecule(p)
-    p.add_argument("--field", type=float, default=0.0, help="DC field in kV/cm")
+    p.add_argument("--field", type=_finite_arg, default=0.0, help="DC field in kV/cm")
     p.add_argument("--states", type=_states_arg, required=True, help="colon-separated J,M[,+-] list")
     p.add_argument("--jmax", type=int, default=10)
     add_output(p)
@@ -481,12 +507,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("polar", help="polarizability tensors and AC shifts")
     add_molecule(p)
-    p.add_argument("--field", type=float, default=0.0)
-    p.add_argument("--nu", type=float, default=9174.0, help="laser wavenumber in cm^-1")
+    p.add_argument("--field", type=_finite_arg, default=0.0)
+    p.add_argument("--nu", type=_finite_arg, default=9174.0, help="laser wavenumber in cm^-1")
     p.add_argument("--pol", type=_pol_arg, default="z", help="z, x, theta:<deg>, sigma+ or sigma-")
     p.add_argument("--states", type=_states_arg, required=True)
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--intensity", type=float, default=1.0, help="W/cm^2")
+    p.add_argument("--intensity", type=_finite_arg, default=1.0, help="W/cm^2")
     add_output(p)
     p.set_defaults(handler=_cmd_polar)
 
@@ -494,13 +520,13 @@ def build_parser() -> _Parser:
     add_molecule(p)
     p.add_argument("--var", choices=("E_dc", "theta", "nu"), required=True)
     p.add_argument("--range", type=_range_arg, required=True, help="lo:hi")
-    p.add_argument("--steps", type=int, default=61)
-    p.add_argument("--field", type=float, default=0.0, help="fixed DC field for theta/nu sweeps")
-    p.add_argument("--nu", type=float, default=9174.0, help="fixed wavenumber for E_dc/theta sweeps")
+    p.add_argument("--steps", type=_grid_count_arg("steps"), default=61)
+    p.add_argument("--field", type=_finite_arg, default=0.0, help="fixed DC field for theta/nu sweeps")
+    p.add_argument("--nu", type=_finite_arg, default=9174.0, help="fixed wavenumber for E_dc/theta sweeps")
     p.add_argument("--pol", type=_pol_arg, default="z", help="fixed polarization for E_dc/nu sweeps")
     p.add_argument("--states", type=_states_arg, required=True)
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--intensity", type=float, default=1.0)
+    p.add_argument("--intensity", type=_finite_arg, default=1.0)
     add_output(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -509,28 +535,28 @@ def build_parser() -> _Parser:
     p.add_argument("--pair", type=_pair_arg, required=True, help="A:B, e.g. 0,0:1,0")
     p.add_argument("--pol", type=_pol_arg, default="z")
     p.add_argument("--range", type=_range_arg, default=(0.0, 15.0), help="search range lo:hi in kV/cm")
-    p.add_argument("--nu", type=float, default=9174.0)
+    p.add_argument("--nu", type=_finite_arg, default=9174.0)
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--scan-points", type=_scan_points_arg, default=64)
+    p.add_argument("--scan-points", type=_grid_count_arg("scan points"), default=64)
     add_output(p)
     p.set_defaults(handler=_cmd_find_magic_field)
 
     p = sub.add_parser("magic-angle", help="magic polarization angle and its field independence")
     add_molecule(p)
     p.add_argument("--pair", type=_pair_arg, default=(StateLabel(0, 0), StateLabel(1, 0)))
-    p.add_argument("--nu", type=float, default=9174.0)
+    p.add_argument("--nu", type=_finite_arg, default=9174.0)
     p.add_argument("--range", type=_range_arg, default=(0.0, 6.0), help="DC field grid lo:hi in kV/cm")
-    p.add_argument("--steps", type=int, default=7)
+    p.add_argument("--steps", type=_grid_count_arg("steps"), default=7)
     p.add_argument("--jmax", type=int, default=10)
     add_output(p)
     p.set_defaults(handler=_cmd_magic_angle)
 
     p = sub.add_parser("lattice", help="three-beam magic-angle lattice plan (JSON)")
-    p.add_argument("--nu", type=float, default=9174.0, help="reference beam wavenumber in cm^-1")
-    p.add_argument("--delta-b", type=float, default=80.0, help="beam b offset in MHz")
-    p.add_argument("--delta-c", type=float, default=160.0, help="beam c offset in MHz")
-    p.add_argument("--f-mot", type=float, default=25.0, help="trap motional frequency in kHz")
-    p.add_argument("--ratio", type=float, default=100.0, help="separation-of-scales threshold")
+    p.add_argument("--nu", type=_finite_arg, default=9174.0, help="reference beam wavenumber in cm^-1")
+    p.add_argument("--delta-b", type=_finite_arg, default=80.0, help="beam b offset in MHz")
+    p.add_argument("--delta-c", type=_finite_arg, default=160.0, help="beam c offset in MHz")
+    p.add_argument("--f-mot", type=_finite_arg, default=25.0, help="trap motional frequency in kHz")
+    p.add_argument("--ratio", type=_finite_arg, default=100.0, help="separation-of-scales threshold")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default="-")
     p.add_argument("--no-meta", action="store_true")
@@ -538,14 +564,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("convergence", help="basis-size sensitivity of dressed energies")
     add_molecule(p)
-    p.add_argument("--field", type=float, default=15.0)
+    p.add_argument("--field", type=_finite_arg, default=15.0)
     p.add_argument(
         "--states",
         type=_states_arg,
         default=[StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 1)],
     )
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite_arg, default=1e-8)
     add_output(p)
     p.set_defaults(handler=_cmd_convergence)
 
@@ -565,6 +591,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
     try:
+        _check_basis(args)
         text = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

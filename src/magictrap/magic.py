@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import stark
 from .polarizability import (
@@ -258,6 +257,8 @@ def find_magic_fields(
         if i == j:
             root, tol = a, 0.0
         else:
+            from scipy.optimize import brentq   # imported here: slow to load, and only refinement needs it
+
             root = brentq(lambda e: float(diff(e)), a, b, xtol=1e-15, rtol=1e-12)
             tol = 1e-12 * abs(root) + 1e-15
         alpha_a, alpha_b = alphas(root)

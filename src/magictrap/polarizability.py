@@ -9,9 +9,14 @@ Two independent routes produce the same 3x3 tensor:
   degenerate +M/-M pair),
 * a brute-force sum over intermediate rotational states built from
   transition amplitude factors, weighting Sigma (Lambda = 0) channels by
-  a_par and Pi (Lambda = +-1) channels by a_perp.
+  a_par and Pi (Lambda = +-1) channels by a_perp. The amplitudes
+  F[k, sigma, J] do not depend on the field: they sit in a read-only table
+  cached per (|M|, branch, j_max, j_e_max), built from ``angular.f_factor``
+  alone, and each tensor is one contraction of that table with the dressed
+  row.
 
 Route agreement is the package's central correctness check; see the tests.
+The sum-over-states route never reads the closed form's moments.
 
 Degenerate |M| > 0 pairs are treated in the two-dimensional subspace
 {|+M>, |-M>}. The light's polarization selects the stationary combinations;
@@ -325,6 +330,48 @@ def _intermediate_states(j_e_max: int):
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class _SosTable:
+    """Field-independent transition amplitudes of one state family.
+
+    ``amp[k, s, i]`` is f_factor(J_e, M_e, Lambda, J_i, |M|, branch, sigma_s)
+    for intermediate state k, sigma_s in (x, y, z) and J_i = |M| .. j_max;
+    ``lam[k]`` is that state's Lambda. Only states with a nonzero amplitude
+    are kept.
+    """
+
+    amp: np.ndarray
+    lam: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _sos_table(m_abs: int, branch: int, j_max: int, j_e_max: int) -> _SosTable:
+    """Amplitudes for every basis J over _intermediate_states(j_e_max), built once.
+
+    f_factor is only called where its selection rules allow a nonzero value,
+    |J - J_e| <= 1 and |M_e -+ M| <= 1; every other entry is exactly zero.
+    The arrays are read-only because every caller shares them.
+    """
+    js = range(m_abs, j_max + 1)
+    amps, lams = [], []
+    for lam, j_e, m_e in _intermediate_states(j_e_max):
+        if abs(m_e - m_abs) > 1 and (not branch or abs(m_e + m_abs) > 1):
+            continue
+        f = np.zeros((3, len(js)), dtype=complex)
+        for i, j in enumerate(js):
+            if abs(j - j_e) <= 1:
+                for s, sigma in enumerate(("x", "y", "z")):
+                    f[s, i] = f_factor(j_e, m_e, lam, j, m_abs, branch=branch, sigma=sigma)
+        if np.any(f):
+            amps.append(f)
+            lams.append(lam)
+    amp = np.array(amps)
+    lam = np.array(lams)
+    amp.setflags(write=False)
+    lam.setflags(write=False)
+    return _SosTable(amp=amp, lam=lam)
+
+
 def alpha_tensor_sos(
     sys: StarkEigensystem,
     label: StateLabel,
@@ -340,6 +387,11 @@ def alpha_tensor_sos(
     Branch states use the conventional (|+M> +- |-M>)/sqrt(2) combinations.
     j_e_max must cover every J in the basis plus one unit of photon recoil
     in angular momentum; default is exactly that, sys.j_max + 1.
+
+    The amplitudes F[k, sigma, J] do not depend on the field, so they come
+    from a table cached per (|M|, branch, j_max, j_e_max) and built from
+    ``f_factor`` alone. The dressed row u enters as A = F u, and the tensor
+    is sum_k w_k A_k A_k^H with w_k = alpha_par (Lambda = 0) or alpha_perp.
     """
     if abs(label.m) != abs(sys.m):
         raise ValueError(f"label {label} does not belong to an |M| = {abs(sys.m)} block")
@@ -352,22 +404,11 @@ def alpha_tensor_sos(
         j_e_max = sys.j_max + 1
     if j_e_max < sys.j_max + 1:
         raise ValueError(f"j_e_max must be >= j_max + 1 = {sys.j_max + 1}")
-    row = sys.amplitudes(label.j_tilde)
-    js = list(sys.j_values)
-    m = label.m if label.m == 0 else abs(label.m)
     branch = _branch_sign(label.branch) if label.branch else 0
-    matrix = np.zeros((3, 3), dtype=complex)
-    amp = np.empty(3, dtype=complex)
-    for lam, j_e, m_e in _intermediate_states(j_e_max):
-        weight = alpha_par if lam == 0 else alpha_perp
-        for idx, sigma in enumerate(("x", "y", "z")):
-            a = 0.0 + 0.0j
-            for i, j in enumerate(js):
-                a += row[i] * f_factor(j_e, m_e, lam, j, m, branch=branch, sigma=sigma)
-            amp[idx] = a
-        if np.max(np.abs(amp)) == 0.0:
-            continue
-        matrix += weight * np.outer(amp, amp.conj())
+    table = _sos_table(abs(label.m), branch, sys.j_max, j_e_max)
+    amp = table.amp @ sys.amplitudes(label.j_tilde)
+    weight = np.where(table.lam == 0, alpha_par, alpha_perp)
+    matrix = np.einsum("k,ka,kb->ab", weight, amp, amp.conj())
     return PolarizabilityTensor(
         matrix=matrix, state=label, beta=sys.beta,
         alpha_par=alpha_par, alpha_perp=alpha_perp,

@@ -91,6 +91,42 @@ def wigner_D(j, m, k, phi, theta, gamma):
     return np.exp(-1j * m * np.asarray(phi)) * small_d(j, m, k, theta) * np.exp(-1j * k * gamma)
 
 
+@lru_cache(maxsize=None)
+def _grid_ylm(J, M):
+    """ylm(J, M) on the quadrature grid, memoized (read-only)."""
+    T, P, _ = _sphere_grid()
+    out = ylm(J, M, T, P)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _grid_wigner_D(j, m, k, gamma):
+    """wigner_D(j, m, k) on the quadrature grid at one gamma, memoized (read-only)."""
+    T, P, _ = _sphere_grid()
+    out = wigner_D(j, m, k, P, T, gamma)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _quad_f_spherical(Je, Me, Lam, J, M, n_gamma):
+    """The q = -1, 0, +1 components behind quad_f_factor; x, y and z share them."""
+    _, _, W = _sphere_grid()
+    norm = math.sqrt((2 * Je + 1) / (4 * math.pi))
+    gammas = np.arange(n_gamma) * (2 * math.pi / n_gamma)
+    fq = {}
+    for q in (-1, 0, 1):
+        acc = 0j
+        for g in gammas:
+            integrand = (np.conj(_grid_ylm(J, M))
+                         * np.conj(_grid_wigner_D(1, q, -Lam, g))
+                         * norm * np.conj(_grid_wigner_D(Je, Me, Lam, g)))
+            acc += np.sum(W * integrand) / n_gamma
+        fq[q] = acc
+    return fq
+
+
 def quad_f_factor(Je, Me, Lam, J, M, sigma, branch=0, n_gamma=8):
     """Transition-amplitude angular factor by 3D quadrature over (phi, theta, gamma).
 
@@ -100,31 +136,22 @@ def quad_f_factor(Je, Me, Lam, J, M, sigma, branch=0, n_gamma=8):
     lab dipole d_q = sum_q' D^{1*}_{q q'} d^mol_{q'}; the Sigma ground state
     forces q' = -Lam. The integrand is gamma-independent once the body-frame
     indices balance; averaging over an explicit gamma grid checks that.
+    Grid values of Y_JM and D^j_mk and the spherical components are memoized,
+    so repeated and per-sigma calls reuse them.
     """
     if abs(Lam) > Je:
         return 0j
     if branch:
         return (quad_f_factor(Je, Me, Lam, J, M, sigma, 0, n_gamma)
                 + branch * quad_f_factor(Je, Me, Lam, J, -M, sigma, 0, n_gamma)) / math.sqrt(2)
-    T, P, W = _sphere_grid()
-    norm = math.sqrt((2 * Je + 1) / (4 * math.pi))
-    gammas = np.arange(n_gamma) * (2 * math.pi / n_gamma)
-    fq = {}
-    for q in (-1, 0, 1):
-        acc = 0j
-        for g in gammas:
-            integrand = (np.conj(ylm(J, M, T, P))
-                         * np.conj(wigner_D(1, q, -Lam, P, T, g))
-                         * norm * np.conj(wigner_D(Je, Me, Lam, P, T, g)))
-            acc += np.sum(W * integrand) / n_gamma
-        fq[q] = acc
+    if sigma not in ("x", "y", "z"):
+        raise ValueError(sigma)
+    fq = _quad_f_spherical(Je, Me, Lam, J, M, n_gamma)
     if sigma == "x":
         return (fq[-1] - fq[1]) / math.sqrt(2)
     if sigma == "y":
         return 1j * (fq[-1] + fq[1]) / math.sqrt(2)
-    if sigma == "z":
-        return fq[0]
-    raise ValueError(sigma)
+    return fq[0]
 
 
 # ---------------------------------------------------------------------------

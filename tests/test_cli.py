@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magictrap
 from magictrap.cli import emit_figure_data, run
 from magictrap.units import load_molecule
 
@@ -144,6 +149,16 @@ def test_convergence_flags_edge_state(capsys):
         ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range", "0:inf"],
         ["lattice", "--format", "csv"],
         [],
+        ["polar", "--molecule", "KRb", "--states", "0,0", "--intensity", "nan"],
+        ["polar", "--molecule", "KRb", "--states", "0,0", "--nu", "nan"],
+        ["eigen", "--molecule", "KRb", "--states", "0,0", "--field", "nan"],
+        ["eigen", "--molecule", "KRb", "--states", "0,0", "--field", "inf"],
+        ["lattice", "--f-mot", "nan"],
+        ["magic-angle", "--molecule", "KRb", "--steps", "0"],
+        ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:10", "--states", "0,0", "--steps", "1"],
+        ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:10", "--states", "0,0", "--jmax", "2"],
+        ["eigen", "--molecule", "KRb", "--states", "0,0:1,1", "--jmax", "3"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,1,+", "--jmax", "3"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -173,6 +188,15 @@ def test_compute_errors_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(magictrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, magictrap, magictrap.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_help_exits_0(capsys):

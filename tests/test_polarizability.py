@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magictrap.angular import f_factor
 from magictrap.polarizability import (
     MAGIC_ANGLE_DEG,
+    _intermediate_states,
+    _sos_table,
     PolarizationVector,
     alpha_angle_scan,
     alpha_eff,
@@ -139,6 +142,86 @@ def test_routes_agree_dressed_grid():
                 b = alpha_tensor_sos(sys, label, A_PAR, A_PERP)
                 scale = max(np.max(np.abs(a.matrix)), 1.0)
                 assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10 * scale, (beta, label)
+
+
+def _dense_sos_table(m_abs, branch, j_max, j_e_max):
+    """f_factor at every (intermediate state, sigma, J), zero rows dropped."""
+    amps, lams = [], []
+    for lam, j_e, m_e in _intermediate_states(j_e_max):
+        f = np.array([
+            [f_factor(j_e, m_e, lam, j, m_abs, branch=branch, sigma=sigma)
+             for j in range(m_abs, j_max + 1)]
+            for sigma in ("x", "y", "z")
+        ])
+        if np.any(f):
+            amps.append(f)
+            lams.append(lam)
+    return np.array(amps), np.array(lams)
+
+
+def _sos_loop_reference(sys, label, alpha_par, alpha_perp):
+    """The per-term sum over states, one f_factor call per term."""
+    m = abs(label.m)
+    branch = {"": 0, "+": 1, "-": -1}[label.branch]
+    row = sys.amplitudes(label.j_tilde)
+    matrix = np.zeros((3, 3), dtype=complex)
+    for lam, j_e, m_e in _intermediate_states(sys.j_max + 1):
+        amp = np.array([
+            sum(row[i] * f_factor(j_e, m_e, lam, j, m, branch=branch, sigma=sigma)
+                for i, j in enumerate(sys.j_values))
+            for sigma in ("x", "y", "z")
+        ])
+        matrix += (alpha_par if lam == 0 else alpha_perp) * np.outer(amp, amp.conj())
+    return matrix
+
+
+@pytest.mark.parametrize("m_abs,branch", [(0, 0), (1, 1), (1, -1)])
+def test_sos_table_equals_dense_table(m_abs, branch):
+    amp, lam = _dense_sos_table(m_abs, branch, 10, 11)
+    table = _sos_table(m_abs, branch, 10, 11)
+    assert table.amp.shape == amp.shape
+    assert np.array_equal(table.amp, amp)
+    assert np.array_equal(table.lam, lam)
+
+
+def test_sos_table_is_cached_and_read_only():
+    sys = block(KRB, 2.0, 1)
+    label = StateLabel(1, 1, "+")
+    first = alpha_tensor_sos(sys, label, A_PAR, A_PERP).matrix
+    misses = _sos_table.cache_info().misses
+    again = alpha_tensor_sos(sys, label, A_PAR, A_PERP).matrix
+    assert _sos_table.cache_info().misses == misses
+    assert np.array_equal(first, again)
+    table = _sos_table(1, 1, 10, 11)
+    assert not table.amp.flags.writeable and not table.lam.flags.writeable
+    with pytest.raises(ValueError):
+        table.amp[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m,label", [(0, StateLabel(1, 0)), (1, StateLabel(2, 1, "+")), (1, StateLabel(1, 1, "-"))])
+def test_sos_matches_per_term_loop(m, label):
+    sys = block(RBCS, 3.0, m)
+    ref = _sos_loop_reference(sys, label, A_PAR, A_PERP)
+    got = alpha_tensor_sos(sys, label, A_PAR, A_PERP).matrix
+    # only the summation order differs
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@given(
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+    st.sampled_from([0, 1, 2]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["+", "-"]),
+    st.sampled_from([10, 12]),
+    st.sampled_from([1, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sos_matches_closed_form(beta, m, dj, branch, j_max, extra):
+    label = StateLabel(m + dj, m, branch if m else "")
+    sys = block(KRB, beta, m, j_max=j_max)
+    a = alpha_tensor_closed_form(sys, label, A_PAR, A_PERP).matrix
+    b = alpha_tensor_sos(sys, label, A_PAR, A_PERP, j_e_max=j_max + extra).matrix
+    assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(a)), 1.0)
 
 
 def test_tensor_is_hermitian_and_alpha_eff_real():
