@@ -2,9 +2,9 @@
 
 Conventions, fixed here once and imported everywhere else:
 
-* Wigner 3-j symbols use Racah's single-sum formula in exact integer and
-  rational arithmetic (``math.factorial`` on Python ints, ``Fraction`` for
-  the alternating sum), with a single conversion to float at the end.
+* Wigner 3-j symbols use Racah's single-sum formula in exact integer
+  arithmetic (``math.factorial`` on Python ints, the alternating sum over
+  one common denominator), with a single conversion to float at the end.
 * Spherical vector components follow the Condon-Shortley phase,
 
       v_{+1} = -(v_x + i v_y)/sqrt(2)
@@ -12,7 +12,8 @@ Conventions, fixed here once and imported everywhere else:
       v_{-1} = +(v_x - i v_y)/sqrt(2)
 
   so the inverse map is v_x = (v_{-1} - v_{+1})/sqrt(2),
-  v_y = i (v_{-1} + v_{+1})/sqrt(2), v_z = v_0.
+  v_y = i (v_{-1} + v_{+1})/sqrt(2), v_z = v_0, which ``f_factor`` uses
+  to form Cartesian amplitudes.
 * C_{lq} denotes the Racah-normalized spherical harmonic
   sqrt(4 pi / (2l+1)) Y_{lq}.
 
@@ -23,36 +24,26 @@ no shared mutable state beyond a read-only memo table for 3-j values.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "three_j",
     "c_tensor_element",
     "f_factor",
-    "cart_to_spherical",
-    "spherical_to_cart",
 ]
-
-
-def _tri(a, b, c):
-    """Triangle coefficient (a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)! as a Fraction."""
-    return Fraction(
-        math.factorial(a + b - c) * math.factorial(a - b + c) * math.factorial(-a + b + c),
-        math.factorial(a + b + c + 1),
-    )
 
 
 @lru_cache(maxsize=None)
 def three_j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     """Wigner 3-j symbol (j1 j2 j3; m1 m2 m3) for integer arguments.
 
-    Evaluated with Racah's single-sum formula. The triangle factor, the
-    factorial prefactor and the alternating sum are kept exact (integers and
-    Fractions); the square root forces the one float rounding at the end.
-    Out-of-triangle or m-violating inputs return 0.0 rather than raising.
+    Evaluated with Racah's single-sum formula in exact integer arithmetic.
+    The alternating sum is one integer over a common denominator: the
+    product of its six factorials at their largest arguments, which every
+    term's denominator divides. The value squared is then one ratio of
+    integers, and the integer true division and square root are the only
+    float roundings. Out-of-triangle or m-violating inputs return 0.0
+    rather than raising.
     """
     if m1 + m2 + m3 != 0:
         return 0.0
@@ -60,30 +51,29 @@ def three_j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
         return 0.0
     if not (abs(j1 - j2) <= j3 <= j1 + j2):
         return 0.0
-    pre = (
-        _tri(j1, j2, j3)
-        * math.factorial(j1 + m1) * math.factorial(j1 - m1)
-        * math.factorial(j2 + m2) * math.factorial(j2 - m2)
-        * math.factorial(j3 + m3) * math.factorial(j3 - m3)
-    )
+    f = math.factorial
     tmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
     tmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    total = Fraction(0)
+    den = (
+        f(tmax) * f(j3 - j2 + tmax + m1) * f(j3 - j1 + tmax - m2)
+        * f(j1 + j2 - j3 - tmin) * f(j1 - tmin - m1) * f(j2 - tmin + m2)
+    )
+    num = 0
     for t in range(tmin, tmax + 1):
-        denom = (
-            math.factorial(t)
-            * math.factorial(j3 - j2 + t + m1)
-            * math.factorial(j3 - j1 + t - m2)
-            * math.factorial(j1 + j2 - j3 - t)
-            * math.factorial(j1 - t - m1)
-            * math.factorial(j2 - t + m2)
+        term = den // (
+            f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
+            * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2)
         )
-        total += Fraction((-1) ** t, denom)
-    if total == 0:
+        num += -term if t % 2 else term
+    if num == 0:
         return 0.0
-    sign = (-1) ** (j1 - j2 - m3) * (1 if total > 0 else -1)
-    # value^2 = pre * total^2 exactly; |value| <= 1 so no overflow on float()
-    return sign * math.sqrt(float(pre * total * total))
+    sign = (-1) ** (j1 - j2 - m3) * (1 if num > 0 else -1)
+    # value^2 = triangle * m-factorials * (num / den)^2, exactly; |value| <= 1
+    top = (
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    )
+    return sign * math.sqrt(top * num * num / (f(j1 + j2 + j3 + 1) * den * den))
 
 
 def c_tensor_element(l: int, q: int, J: int, M: int, Jp: int, Mp: int) -> float:
@@ -103,32 +93,6 @@ def c_tensor_element(l: int, q: int, J: int, M: int, Jp: int, Mp: int) -> float:
         * three_j(J, l, Jp, -M, q, Mp)
         * three_j(J, l, Jp, 0, 0, 0)
     )
-
-
-# Spherical basis ordering used by this package: index 0, 1, 2 <-> q = -1, 0, +1.
-_CART_TO_SPH = np.array(
-    [
-        [1 / math.sqrt(2), -1j / math.sqrt(2), 0],   # q = -1
-        [0, 0, 1],                                   # q =  0
-        [-1 / math.sqrt(2), -1j / math.sqrt(2), 0],  # q = +1
-    ],
-    dtype=complex,
-)
-_SPH_TO_CART = np.linalg.inv(_CART_TO_SPH)
-
-
-def cart_to_spherical(v) -> np.ndarray:
-    """Spherical components (q = -1, 0, +1) of a Cartesian 3-vector.
-
-    Condon-Shortley phase; the map is unitary, so norms are preserved and
-    ``spherical_to_cart`` is its exact inverse.
-    """
-    return _CART_TO_SPH @ np.asarray(v, dtype=complex)
-
-
-def spherical_to_cart(v_sph) -> np.ndarray:
-    """Inverse of :func:`cart_to_spherical` (input ordered q = -1, 0, +1)."""
-    return _SPH_TO_CART @ np.asarray(v_sph, dtype=complex)
 
 
 def _f_factor_q(J_e: int, M_e: int, Lam: int, J: int, M: int, q: int) -> float:

@@ -8,6 +8,7 @@ against routes that share no code with them.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -20,6 +21,32 @@ def three_j_ref(j1, j2, j3, m1, m2, m3):
     from sympy.physics.wigner import wigner_3j
 
     return float(wigner_3j(j1, j2, j3, m1, m2, m3))
+
+
+def three_j_fraction(j1, j2, j3, m1, m2, m3):
+    """Racah's single-sum formula with the alternating sum kept as a Fraction.
+
+    The triangle factor and the sum are exact rationals; float() of the
+    squared value is the one rounding before the square root.
+    """
+    if m1 + m2 + m3 != 0 or abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    if not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    f = math.factorial
+    pre = Fraction(
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+        * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3),
+        f(j1 + j2 + j3 + 1),
+    )
+    total = Fraction(0)
+    for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1):
+        total += Fraction((-1) ** t, f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
+                          * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2))
+    if total == 0:
+        return 0.0
+    sign = (-1) ** (j1 - j2 - m3) * (1 if total > 0 else -1)
+    return sign * math.sqrt(float(pre * total * total))
 
 
 # ---------------------------------------------------------------------------
