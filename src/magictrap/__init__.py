@@ -22,6 +22,7 @@ from .magic import (
     MagicAngleReport,
     NoCrossingError,
     SweepGrid,
+    emit_figure_data,
     find_magic_field,
     find_magic_fields,
     magic_angle,
@@ -30,16 +31,13 @@ from .magic import (
 )
 from .polarizability import (
     MAGIC_ANGLE_DEG,
-    IrreducibleParts,
     PolarizabilityTensor,
     PolarizationVector,
     StarkShift,
-    alpha_angle_scan,
     alpha_eff,
     alpha_tensor_branches,
     alpha_tensor_closed_form,
     alpha_tensor_sos,
-    irreducible_decompose,
     stark_shift,
 )
 from .stark import (
@@ -55,32 +53,28 @@ from .stark import (
 from .units import (
     AU_POL_TO_MHZ_PER_W_CM2,
     DEBYE_KVCM_TO_MHZ,
-    IncompatibleUnitsError,
     MoleculeFileError,
     MoleculeSpec,
-    Quantity,
     alpha_lambda_at,
     bundled_molecule_names,
-    convert,
     load_molecule,
 )
 
 __all__ = [
     "__version__",
     "three_j", "c_tensor_element", "f_factor",
-    "Quantity", "convert", "IncompatibleUnitsError",
     "MoleculeSpec", "MoleculeFileError",
     "load_molecule", "bundled_molecule_names", "alpha_lambda_at",
     "DEBYE_KVCM_TO_MHZ", "AU_POL_TO_MHZ_PER_W_CM2",
     "StateLabel", "StarkBlock", "StarkEigensystem",
     "build_block", "diagonalize", "solve", "alignment", "check_convergence",
-    "PolarizationVector", "PolarizabilityTensor", "IrreducibleParts", "StarkShift",
+    "PolarizationVector", "PolarizabilityTensor", "StarkShift",
     "alpha_tensor_closed_form", "alpha_tensor_branches", "alpha_tensor_sos",
-    "alpha_eff", "stark_shift", "irreducible_decompose", "alpha_angle_scan",
+    "alpha_eff", "stark_shift",
     "MAGIC_ANGLE_DEG",
     "SweepGrid", "CrossingReport", "MagicAngleReport",
     "NoCrossingError", "DegenerateDifferenceError",
-    "sweep", "find_magic_field", "find_magic_fields",
+    "sweep", "emit_figure_data", "find_magic_field", "find_magic_fields",
     "magic_field_polarization_invariance", "magic_angle",
     "BeamConfig", "LatticePlan", "SeparationOfScalesError",
     "plan_paper_lattice", "validate_plan", "plan_to_json",

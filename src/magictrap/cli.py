@@ -23,26 +23,15 @@ from .magic import (
     DegenerateDifferenceError,
     NoCrossingError,
     SweepGrid,
+    emit_figure_data,
     find_magic_fields,
     magic_angle,
     sweep,
 )
-from .polarizability import (
-    PolarizationVector,
-    alpha_eff,
-    alpha_tensor_closed_form,
-    stark_shift,
-)
+from .polarizability import PolarizationVector, alpha_tensor_closed_form, stark_shift
 from .stark import StateLabel
 from .tableio import Column, ResultTable
-from .units import (
-    CM1_TO_MHZ,
-    IncompatibleUnitsError,
-    MoleculeFileError,
-    MoleculeSpec,
-    alpha_lambda_at,
-    load_molecule,
-)
+from .units import CM1_TO_MHZ, MoleculeFileError, MoleculeSpec, alpha_lambda_at, load_molecule
 
 __all__ = ["main", "run", "emit_figure_data"]
 
@@ -51,7 +40,6 @@ _COMPUTE_ERRORS = (
     DegenerateDifferenceError,
     SeparationOfScalesError,
     MoleculeFileError,
-    IncompatibleUnitsError,
     FileNotFoundError,
     ValueError,
 )
@@ -373,112 +361,6 @@ def _cmd_convergence(args) -> str:
         rel = stark.check_convergence(mol, args.field, abs(lb.m), lb.j_tilde, args.jmax)
         table.add_row(str(lb), rel, rel < args.tol)
     return table.render(args.format, include_meta=not args.no_meta)
-
-
-# ------------------------------------------------------------ figure data
-
-_FIG_STATES = (
-    StateLabel(0, 0),
-    StateLabel(1, 0),
-    StateLabel(1, 1, "+"),
-    StateLabel(1, 1, "-"),
-)
-
-
-def _fig_systems(mol, e_dc, j_max=10):
-    return {m: stark.solve(mol, e_dc, m, j_max) for m in (0, 1)}
-
-
-def emit_figure_data(figure: str, molecule, nu_cm: float = 9174.0, j_max: int = 10) -> ResultTable:
-    """Grid tables behind the standard plots.
-
-    fig2: alpha_eff vs DC field, parallel (z) and perpendicular (x) panels.
-    fig3: alpha_eff surface over (E_dc, theta) for the absolute ground state.
-    fig4: alpha_eff vs theta at a ladder of DC fields, all four low states.
-    """
-    mol = molecule if isinstance(molecule, MoleculeSpec) else load_molecule(molecule)
-    a_par, a_perp = alpha_lambda_at(mol, nu_cm)
-    meta = {
-        "figure": figure,
-        "molecule": mol.name,
-        "nu_cm": f"{nu_cm:.12g}",
-        "alpha_par_au": f"{a_par:.12g}",
-        "alpha_perp_au": f"{a_perp:.12g}",
-        "j_max": str(j_max),
-        "version": __version__,
-    }
-
-    if figure == "fig2":
-        table = ResultTable(
-            columns=[
-                Column("E_dc", "kV/cm"),
-                Column("polarization", "1"),
-                Column("state", "1"),
-                Column("alpha_eff", "a.u."),
-            ],
-            meta=meta,
-        )
-        pols = (("z", PolarizationVector.z()), ("x", PolarizationVector.x()))
-        for e_dc in np.linspace(0.0, 15.0, 61):
-            systems = _fig_systems(mol, float(e_dc), j_max)
-            for pol_name, pol in pols:
-                for lb in _FIG_STATES:
-                    tens = alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, pol)
-                    table.add_row(float(e_dc), pol_name, str(lb), alpha_eff(tens, pol))
-        return table
-
-    if figure == "fig3":
-        table = ResultTable(
-            columns=[
-                Column("E_dc", "kV/cm"),
-                Column("theta", "deg"),
-                Column("alpha_eff", "a.u."),
-            ],
-            meta=meta,
-        )
-        thetas = np.linspace(0.0, 90.0, 46)
-        for e_dc in np.linspace(0.0, 6.0, 61):
-            sys0 = stark.solve(mol, float(e_dc), 0, j_max)
-            tens = alpha_tensor_closed_form(sys0, StateLabel(0, 0), a_par, a_perp)
-            for th in thetas:
-                table.add_row(
-                    float(e_dc), float(th),
-                    alpha_eff(tens, PolarizationVector.linear_deg(float(th))),
-                )
-        return table
-
-    if figure == "fig4":
-        name = mol.name.lower()
-        if name == "krb":
-            fields = [0.6 * k for k in range(1, 11)]
-        elif name == "rbcs":
-            fields = [0.3 * k for k in range(1, 11)]
-        else:
-            base = mol.field_for_beta(0.15)
-            fields = [base * k for k in range(1, 11)]
-        table = ResultTable(
-            columns=[
-                Column("E_dc", "kV/cm"),
-                Column("theta", "deg"),
-                Column("state", "1"),
-                Column("alpha_eff", "a.u."),
-            ],
-            meta=meta,
-        )
-        thetas = np.linspace(0.0, 90.0, 91)
-        for e_dc in fields:
-            systems = _fig_systems(mol, e_dc, j_max)
-            tensors = [
-                (lb, alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp))
-                for lb in _FIG_STATES
-            ]
-            for th in thetas:
-                pol = PolarizationVector.linear_deg(float(th))
-                for lb, tens in tensors:
-                    table.add_row(e_dc, float(th), str(lb), alpha_eff(tens, pol))
-        return table
-
-    raise ValueError(f"unknown figure {figure!r}; expected fig2, fig3 or fig4")
 
 
 # ------------------------------------------------------------ parser setup

@@ -1,16 +1,29 @@
-"""Parameter sweeps and root finding for magic trapping conditions.
+"""Parameter sweeps, figure tables and root finding for magic trapping conditions.
 
 A magic field for a state pair is the DC field at which their effective
 polarizabilities coincide; a magic angle is the linear-polarization angle
 doing the same job at every field.
 
-Magic fields come from one batched scan in beta = d E / B: a single
-``stark.dressed_moments`` call per |M| block gives the dressed <C_20> and
-<C_2,+2> moments at every scan node, and ``alpha_eff_from_moments`` turns
-them into the pair's alpha_eff difference. Sign changes between nodes are
-refined by Brent's method on that same kernel, one field at a time; a node
-where the difference is exactly zero is itself a root. A difference that is
-~0 on most nodes (the magic angle) is reported as degenerate instead.
+One kernel feeds every table here. ``_alpha_effs`` makes a single
+``stark.dressed_moments`` call per |M| block for a whole field grid (beta =
+d E / B), and ``alpha_eff_from_moments`` turns the dressed <C_20> and
+<C_2,+2> moments into alpha_eff; no per-field solve and no tensor is built.
+Sweeps, the figure tables, the magic angle and the magic-field search all
+read it.
+
+Angles need no extra kernel call. For linear light cos(theta) z + sin(theta) x
+the closed-form tensor has no xz element and the branch split is linear in
+sin^2 theta, so
+
+    alpha_eff(theta) = alpha_x sin^2(theta) + alpha_z cos^2(theta)
+
+with alpha_x and alpha_z the values under x and z light: a theta grid is an
+outer product of two kernel results.
+
+Magic fields come from one batched scan of the same kernel; sign changes
+between nodes are refined by Brent's method on it, one field at a time, and
+a node where the difference is exactly zero is itself a root. A difference
+that is ~0 on most nodes (the magic angle) is reported as degenerate instead.
 """
 
 from __future__ import annotations
@@ -20,18 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import stark
-from .polarizability import (
-    MAGIC_ANGLE_DEG,
-    PolarizationVector,
-    alpha_eff,
-    alpha_eff_from_moments,
-    alpha_tensor_closed_form,
-    stark_shift,
-)
+from . import __version__, stark
+from .polarizability import MAGIC_ANGLE_DEG, PolarizationVector, alpha_eff_from_moments
 from .stark import StateLabel
 from .tableio import Column, ResultTable
-from .units import MoleculeSpec, alpha_lambda_at
+from .units import AU_POL_TO_MHZ_PER_W_CM2, MoleculeSpec, alpha_lambda_at, load_molecule
 
 __all__ = [
     "SweepGrid",
@@ -41,6 +47,7 @@ __all__ = [
     "NoCrossingError",
     "DegenerateDifferenceError",
     "sweep",
+    "emit_figure_data",
     "find_magic_field",
     "find_magic_fields",
     "magic_field_polarization_invariance",
@@ -90,23 +97,42 @@ class SweepGrid:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-def _systems_for(molecule, e_dc, labels, j_max):
-    return {
-        m_abs: stark.solve(molecule, e_dc, m_abs, j_max)
-        for m_abs in sorted({abs(lb.m) for lb in labels})
-    }
+def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarization, j_max):
+    """alpha_eff of each label at the fields ``e_dc`` (kV/cm, any shape).
+
+    One ``stark.dressed_moments`` call per |M| block covers the whole grid.
+    ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
+    """
+    for lb in labels:
+        if lb.j_tilde > j_max:
+            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
+    betas = molecule.beta(np.asarray(e_dc, dtype=float))
+    moments = {m: stark.dressed_moments(m, betas, j_max) for m in {abs(lb.m) for lb in labels}}
+    out = []
+    for lb in labels:
+        _, c20, c22 = moments[abs(lb.m)]
+        k = lb.j_tilde - abs(lb.m)
+        out.append(alpha_eff_from_moments(lb, c20[..., k], c22[..., k], alpha_par, alpha_perp, polarization))
+    return out
 
 
-def _tensors_for(molecule, e_dc, labels, j_max, a_par, a_perp, polarization=None):
-    systems = _systems_for(molecule, e_dc, labels, j_max)
-    return [
-        alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, polarization)
-        for lb in labels
-    ]
+def _alpha_effs_theta(molecule, labels, e_dc, alpha_par, alpha_perp, theta_deg, j_max):
+    """alpha_eff of each label over fields x linear-polarization angles.
+
+    Each entry has shape ``np.shape(e_dc) + (len(theta_deg),)``: the outer
+    product alpha_x sin^2 + alpha_z cos^2 of one x-light and one z-light call.
+    """
+    rad = np.radians(np.asarray(theta_deg, dtype=float))
+    s, c = np.sin(rad), np.cos(rad)
+    a_x = _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, PolarizationVector.x(), j_max)
+    a_z = _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, PolarizationVector.z(), j_max)
+    return [ax[..., None] * s * s + az[..., None] * c * c for ax, az in zip(a_x, a_z)]
 
 
 def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
     """Per-state alpha_eff and AC shift along the grid, one row per point."""
+    if intensity_w_cm2 < 0:
+        raise ValueError("intensity must be >= 0")
     labels = list(states)
     var_name, var_unit = _VARIABLES[grid.variable]
     columns = [Column(var_name, var_unit)]
@@ -121,44 +147,124 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
         j_max=str(grid.j_max),
     )
 
+    mol, x = grid.molecule, grid.values
     pol = grid.polarization or PolarizationVector.z()
     if grid.variable == "theta":
-        a_par, a_perp = alpha_lambda_at(grid.molecule, grid.nu_cm)
-        tensors = _tensors_for(grid.molecule, grid.e_dc_kv_cm, labels, grid.j_max, a_par, a_perp)
+        a_par, a_perp = alpha_lambda_at(mol, grid.nu_cm)
+        alphas = _alpha_effs_theta(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, x, grid.j_max)
         table.meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", nu_cm=f"{grid.nu_cm:.12g}")
-        for theta in grid.values:
-            p = PolarizationVector.linear_deg(theta)
-            row = [theta]
-            for tens in tensors:
-                shift = stark_shift(tens, p, intensity_w_cm2)
-                row += [shift.alpha_eff_au, shift.delta_e_mhz]
-            table.add_row(*row)
-        return table
-
-    if grid.variable == "E_dc":
-        a_par, a_perp = alpha_lambda_at(grid.molecule, grid.nu_cm)
+    elif grid.variable == "E_dc":
+        a_par, a_perp = alpha_lambda_at(mol, grid.nu_cm)
+        alphas = _alpha_effs(mol, labels, x, a_par, a_perp, pol, grid.j_max)
         table.meta.update(nu_cm=f"{grid.nu_cm:.12g}", polarization=str(pol))
-        for e_dc in grid.values:
-            tensors = _tensors_for(grid.molecule, e_dc, labels, grid.j_max, a_par, a_perp, pol)
-            row = [e_dc]
-            for tens in tensors:
-                shift = stark_shift(tens, pol, intensity_w_cm2)
-                row += [shift.alpha_eff_au, shift.delta_e_mhz]
-            table.add_row(*row)
-        return table
+    else:
+        # nu sweep: the dressing is nu-independent, only the alpha table moves
+        a_par, a_perp = np.array([alpha_lambda_at(mol, nu) for nu in x]).T
+        alphas = _alpha_effs(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, pol, grid.j_max)
+        table.meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", polarization=str(pol))
 
-    # nu sweep: dressing is nu-independent, only the alpha table moves
-    systems = _systems_for(grid.molecule, grid.e_dc_kv_cm, labels, grid.j_max)
-    table.meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", polarization=str(pol))
-    for nu in grid.values:
-        a_par, a_perp = alpha_lambda_at(grid.molecule, nu)
-        row = [nu]
-        for lb in labels:
-            tens = alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, pol)
-            shift = stark_shift(tens, pol, intensity_w_cm2)
-            row += [shift.alpha_eff_au, shift.delta_e_mhz]
+    cells = [x]
+    for a in alphas:
+        cells += [a, -a * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2]
+    for row in zip(*(np.broadcast_to(c, x.shape).tolist() for c in cells)):
         table.add_row(*row)
     return table
+
+
+_FIG_STATES = (
+    StateLabel(0, 0),
+    StateLabel(1, 0),
+    StateLabel(1, 1, "+"),
+    StateLabel(1, 1, "-"),
+)
+
+
+def emit_figure_data(figure: str, molecule, nu_cm: float = 9174.0, j_max: int = 10) -> ResultTable:
+    """Grid tables behind the standard plots.
+
+    fig2: alpha_eff vs DC field, parallel (z) and perpendicular (x) panels.
+    fig3: alpha_eff surface over (E_dc, theta) for the absolute ground state.
+    fig4: alpha_eff vs theta at a ladder of DC fields, all four low states.
+    """
+    mol = molecule if isinstance(molecule, MoleculeSpec) else load_molecule(molecule)
+    a_par, a_perp = alpha_lambda_at(mol, nu_cm)
+    meta = {
+        "figure": figure,
+        "molecule": mol.name,
+        "nu_cm": f"{nu_cm:.12g}",
+        "alpha_par_au": f"{a_par:.12g}",
+        "alpha_perp_au": f"{a_perp:.12g}",
+        "j_max": str(j_max),
+        "version": __version__,
+    }
+    names = [str(lb) for lb in _FIG_STATES]
+
+    if figure == "fig2":
+        table = ResultTable(
+            columns=[
+                Column("E_dc", "kV/cm"),
+                Column("polarization", "1"),
+                Column("state", "1"),
+                Column("alpha_eff", "a.u."),
+            ],
+            meta=meta,
+        )
+        fields = np.linspace(0.0, 15.0, 61)
+        panels = [
+            (pol_name, np.array(_alpha_effs(mol, _FIG_STATES, fields, a_par, a_perp, pol, j_max)).T.tolist())
+            for pol_name, pol in (("z", PolarizationVector.z()), ("x", PolarizationVector.x()))
+        ]
+        for i, e_dc in enumerate(fields.tolist()):
+            for pol_name, alphas in panels:
+                for name, a in zip(names, alphas[i]):
+                    table.add_row(e_dc, pol_name, name, a)
+        return table
+
+    if figure == "fig3":
+        table = ResultTable(
+            columns=[
+                Column("E_dc", "kV/cm"),
+                Column("theta", "deg"),
+                Column("alpha_eff", "a.u."),
+            ],
+            meta=meta,
+        )
+        fields = np.linspace(0.0, 6.0, 61)
+        thetas = np.linspace(0.0, 90.0, 46)
+        (alphas,) = _alpha_effs_theta(mol, _FIG_STATES[:1], fields, a_par, a_perp, thetas, j_max)
+        for e_dc, row in zip(fields.tolist(), alphas.tolist()):
+            for th, a in zip(thetas.tolist(), row):
+                table.add_row(e_dc, th, a)
+        return table
+
+    if figure == "fig4":
+        name = mol.name.lower()
+        if name == "krb":
+            fields = [0.6 * k for k in range(1, 11)]
+        elif name == "rbcs":
+            fields = [0.3 * k for k in range(1, 11)]
+        else:
+            base = mol.field_for_beta(0.15)
+            fields = [base * k for k in range(1, 11)]
+        table = ResultTable(
+            columns=[
+                Column("E_dc", "kV/cm"),
+                Column("theta", "deg"),
+                Column("state", "1"),
+                Column("alpha_eff", "a.u."),
+            ],
+            meta=meta,
+        )
+        thetas = np.linspace(0.0, 90.0, 91)
+        # axes (field, theta, state)
+        alphas = np.stack(_alpha_effs_theta(mol, _FIG_STATES, fields, a_par, a_perp, thetas, j_max), axis=-1)
+        for e_dc, per_theta in zip(fields, alphas.tolist()):
+            for th, per_state in zip(thetas.tolist(), per_theta):
+                for name, a in zip(names, per_state):
+                    table.add_row(e_dc, th, name, a)
+        return table
+
+    raise ValueError(f"unknown figure {figure!r}; expected fig2, fig3 or fig4")
 
 
 @dataclass(frozen=True)
@@ -219,21 +325,11 @@ def find_magic_fields(
         raise ValueError("fields must be >= 0")
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points}")
-    for lb in pair:
-        if lb.j_tilde > j_max:
-            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
 
     def alphas(e_dc):
-        betas = molecule.beta(np.asarray(e_dc, dtype=float))
-        moments = {m: stark.dressed_moments(m, betas, j_max) for m in {abs(state_a.m), abs(state_b.m)}}
-        out = []
-        for lb in pair:
-            _, c20, c22 = moments[abs(lb.m)]
-            k = lb.j_tilde - abs(lb.m)
-            out.append(alpha_eff_from_moments(lb, c20[..., k], c22[..., k], a_par, a_perp, polarization))
-        return out
+        return _alpha_effs(molecule, pair, e_dc, a_par, a_perp, polarization, j_max)
 
     def diff(e_dc):
         a, b = alphas(e_dc)
@@ -385,26 +481,30 @@ def magic_angle(
             spread_au=0.0, crossings=tuple((float(e), None) for e in e_grid_kv_cm),
             no_common_angle=False, degenerate=True,
         )
-    pol0 = PolarizationVector.linear_deg(MAGIC_ANGLE_DEG)
+    fields = np.asarray(e_grid_kv_cm, dtype=float)
+    a_x = _alpha_effs(molecule, pair, fields, a_par, a_perp, PolarizationVector.x(), j_max)
+    a_z = _alpha_effs(molecule, pair, fields, a_par, a_perp, PolarizationVector.z(), j_max)
+    s0, c0 = math.sin(math.radians(MAGIC_ANGLE_DEG)), math.cos(math.radians(MAGIC_ANGLE_DEG))
+    at_theta0 = [ax * s0 * s0 + az * c0 * c0 for ax, az in zip(a_x, a_z)]
+    # difference(theta) = d_zz cos^2 + d_xx sin^2; a root needs opposite signs
+    d_zz = (a_z[0] - a_z[1]).tolist()
+    d_xx = (a_x[0] - a_x[1]).tolist()
     tiny = 1e-12 * max(abs(abar), 1e-300)
-    at_theta0 = []
     crossings = []
     missing = 0
-    for e_dc in e_grid_kv_cm:
-        tensors = _tensors_for(molecule, float(e_dc), pair, j_max, a_par, a_perp)
-        at_theta0.extend(alpha_eff(t, pol0) for t in tensors)
-        d_zz = tensors[0].zz - tensors[1].zz
-        d_xx = tensors[0].xx - tensors[1].xx
-        # difference(theta) = d_zz cos^2 + d_xx sin^2; a root needs opposite signs
-        if abs(d_zz) < tiny and abs(d_xx) < tiny:
+    for e_dc, dz, dx in zip(fields.tolist(), d_zz, d_xx):
+        # below tiny a difference is rounding noise around an exact zero (e.g.
+        # d_xx of the p_z / p_y pair at E = 0): the crossing sits on the axis
+        dz, dx = (0.0 if abs(d) < tiny else d for d in (dz, dx))
+        if dz == dx == 0.0:
             # equal at every angle at this field; uninformative for commonality
-            crossings.append((float(e_dc), None))
-        elif d_zz * d_xx > 0.0:
-            crossings.append((float(e_dc), None))
+            crossings.append((e_dc, None))
+        elif dz * dx > 0.0:
+            crossings.append((e_dc, None))
             missing += 1
         else:
-            cos2 = d_xx / (d_xx - d_zz)
-            crossings.append((float(e_dc), math.degrees(math.acos(math.sqrt(cos2)))))
+            cos2 = dx / (dx - dz)
+            crossings.append((e_dc, math.degrees(math.acos(math.sqrt(cos2)))))
     angles = [c[1] for c in crossings if c[1] is not None]
     spread_deg = (max(angles) - min(angles)) if len(angles) >= 2 else 0.0
     no_common = missing > 0 or spread_deg > 1e-6
@@ -415,7 +515,7 @@ def magic_angle(
         theta0_deg=MAGIC_ANGLE_DEG,
         cos2_theta0=1.0 / 3.0,
         abar_au=abar,
-        spread_au=float(max(at_theta0) - min(at_theta0)),
+        spread_au=float(np.max(at_theta0) - np.min(at_theta0)),
         crossings=tuple(crossings),
         no_common_angle=no_common,
         degenerate=False,

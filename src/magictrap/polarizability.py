@@ -33,14 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import c_tensor_element, f_factor, three_j  # noqa: F401  (c_tensor_element is looked up here by external tools)
+from .angular import c_tensor_element, f_factor  # noqa: F401  (c_tensor_element is looked up here by external tools)
 from .stark import StarkEigensystem, StateLabel, dressed_c20, dressed_c22_coherence
 from .units import AU_POL_TO_MHZ_PER_W_CM2
 
 __all__ = [
     "PolarizationVector",
     "PolarizabilityTensor",
-    "IrreducibleParts",
     "StarkShift",
     "alpha_tensor_closed_form",
     "alpha_tensor_branches",
@@ -48,8 +47,6 @@ __all__ = [
     "alpha_eff",
     "alpha_eff_from_moments",
     "stark_shift",
-    "irreducible_decompose",
-    "alpha_angle_scan",
     "MAGIC_ANGLE_DEG",
 ]
 
@@ -438,7 +435,8 @@ def alpha_eff_from_moments(
     Equals ``alpha_eff(alpha_tensor_closed_form(sys, label, ...,
     polarization), polarization)`` without building tensors: ``c20`` and
     ``c22`` are <C_20> and the |M| = 1 coherence <C_2,+2> (arrays of any
-    one shape, e.g. from ``stark.dressed_moments``). The diagonal part is
+    one shape, e.g. from ``stark.dressed_moments``); ``alpha_par`` and
+    ``alpha_perp`` may be arrays that broadcast against them. The diagonal part is
     (abar - da <C_20>/3) |eps_perp|^2 + (abar + 2 da <C_20>/3) |eps_z|^2. A
     +/- branch adds +/-|c|, c = da t (eps^T K eps*), with the sign the light
     assigns to that branch, or +/-Re c where it cannot split the pair
@@ -455,7 +453,7 @@ def alpha_eff_from_moments(
     if not label.branch:
         raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
     c = da * np.asarray(c22, dtype=float) * complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
-    scale = max(abs(alpha_par), abs(alpha_perp), 1e-300)
+    scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
     # as in _resolve_branch_vectors: the + branch is the stationary combination
     # closer to (|+M> + |-M>)/sqrt(2), which takes +|c| when Re c >= 0
     split = np.where(c.real >= 0.0, np.abs(c), -np.abs(c))
@@ -479,99 +477,3 @@ def stark_shift(
         polarization=polarization,
         state=tensor.state,
     )
-
-
-def _clebsch_1x1(q1: int, q2: int, k: int, q: int) -> float:
-    return ((-1) ** q) * math.sqrt(2 * k + 1) * three_j(1, 1, k, q1, q2, -q)
-
-
-def _spherical_basis_vectors():
-    e_plus = np.array([-1.0, -1.0j, 0.0], dtype=complex) / math.sqrt(2)
-    e_zero = np.array([0.0, 0.0, 1.0], dtype=complex)
-    e_minus = np.array([1.0, -1.0j, 0.0], dtype=complex) / math.sqrt(2)
-    return {1: e_plus, 0: e_zero, -1: e_minus}
-
-
-@lru_cache(maxsize=1)
-def _compound_basis():
-    """Orthonormal rank-k basis matrices B_kq built from 1 (x) 1 coupling."""
-    e = _spherical_basis_vectors()
-    basis = {}
-    for k in (0, 1, 2):
-        for q in range(-k, k + 1):
-            b = np.zeros((3, 3), dtype=complex)
-            for q1 in (-1, 0, 1):
-                q2 = q - q1
-                if abs(q2) > 1:
-                    continue
-                cg = _clebsch_1x1(q1, q2, k, q)
-                if cg:
-                    b += cg * np.outer(e[q1], e[q2])
-            b.setflags(write=False)
-            basis[(k, q)] = b
-    return basis
-
-
-@dataclass(frozen=True)
-class IrreducibleParts:
-    """Rank-0/1/2 content of a 3x3 tensor.
-
-    ``scalar`` is Tr/3 (the rank-0 part as an isotropic polarizability).
-    ``vector`` holds the three rank-1 spherical components (q = -1, 0, +1),
-    nonzero only when the tensor has an antisymmetric part. ``tensor``
-    holds the five rank-2 components (q = -2 .. +2) of the symmetric
-    traceless part.
-    """
-
-    scalar: complex
-    vector: np.ndarray
-    tensor: np.ndarray
-
-    def recompose(self) -> np.ndarray:
-        basis = _compound_basis()
-        out = self.scalar * (-math.sqrt(3.0)) * basis[(0, 0)]
-        for q in (-1, 0, 1):
-            out = out + self.vector[q + 1] * basis[(1, q)]
-        for q in (-2, -1, 0, 1, 2):
-            out = out + self.tensor[q + 2] * basis[(2, q)]
-        return out
-
-
-def irreducible_decompose(tensor) -> IrreducibleParts:
-    """Exact expansion over the compound spherical basis; lossless."""
-    matrix = tensor.matrix if isinstance(tensor, PolarizabilityTensor) else np.asarray(tensor, dtype=complex)
-    basis = _compound_basis()
-
-    def coeff(k, q):
-        return complex(np.sum(basis[(k, q)].conj() * matrix))
-
-    # B_00 = -I/sqrt(3), so the trace part converts via -sqrt(3)
-    scalar = coeff(0, 0) / (-math.sqrt(3.0))
-    vector = np.array([coeff(1, q) for q in (-1, 0, 1)])
-    rank2 = np.array([coeff(2, q) for q in (-2, -1, 0, 1, 2)])
-    vector.setflags(write=False)
-    rank2.setflags(write=False)
-    return IrreducibleParts(scalar=scalar, vector=vector, tensor=rank2)
-
-
-def alpha_angle_scan(
-    systems: dict,
-    labels,
-    alpha_par: float,
-    alpha_perp: float,
-    theta_deg,
-) -> np.ndarray:
-    """alpha_eff on a grid of linear-polarization angles, one column per state.
-
-    ``systems`` maps |M| to the diagonalized block at the working DC field.
-    Branch resolution uses the conventional x-z combinations, which are the
-    stationary ones for every angle in the scan.
-    """
-    thetas = np.asarray(theta_deg, dtype=float)
-    out = np.empty((thetas.size, len(labels)))
-    for col, label in enumerate(labels):
-        sys = systems[abs(label.m)]
-        tens = alpha_tensor_closed_form(sys, label, alpha_par, alpha_perp)
-        for i, th in enumerate(thetas):
-            out[i, col] = alpha_eff(tens, PolarizationVector.linear_deg(th))
-    return out

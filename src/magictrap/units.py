@@ -3,33 +3,25 @@
 Internal unit system, used by every other module: energies in MHz, DC fields
 in kV/cm, dipole moments in Debye, polarizabilities in atomic units. All
 conversion constants are defined once here, from CODATA-2018 exact values.
-
-``convert`` handles linear rescales between units of one dimension. The
-nm <-> cm^-1 relation for light is reciprocal, not linear, so wavelength and
-wavenumber are separate dimensions under ``convert``; use
-``nu_from_wavelength_nm`` / ``wavelength_nm_from_nu`` for that map.
+Molecules are ``MoleculeSpec`` records, loaded from a bundled name or a
+file; ``alpha_lambda_at`` interpolates their alpha_par / alpha_perp table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "Quantity",
     "MoleculeSpec",
-    "IncompatibleUnitsError",
     "MoleculeFileError",
-    "convert",
     "load_molecule",
     "bundled_molecule_names",
     "alpha_lambda_at",
-    "nu_from_wavelength_nm",
-    "wavelength_nm_from_nu",
     "DEBYE_KVCM_TO_MHZ",
     "AU_POL_TO_MHZ_PER_W_CM2",
     "CM1_TO_MHZ",
@@ -44,11 +36,9 @@ HARTREE = 4.3597447222071e-18    # J
 EPSILON_0 = 8.8541878128e-12     # F / m
 
 DEBYE_SI = 1e-21 / C_LIGHT                                # C m
-AU_DIPOLE_SI = E_CHARGE * BOHR_RADIUS                     # C m
 AU_POL_SI = E_CHARGE ** 2 * BOHR_RADIUS ** 2 / HARTREE    # C^2 m^2 / J
 
 CM1_TO_MHZ = C_LIGHT * 100.0 / 1e6          # 29979.2458
-CM1_TO_GHZ = CM1_TO_MHZ / 1e3               # 29.9792458
 
 # d * E / h for 1 Debye in a 1 kV/cm field, in MHz (~503.41)
 DEBYE_KVCM_TO_MHZ = DEBYE_SI * 1e5 / H_PLANCK / 1e6
@@ -57,64 +47,9 @@ DEBYE_KVCM_TO_MHZ = DEBYE_SI * 1e5 / H_PLANCK / 1e6
 # Delta E = -alpha I / (2 eps0 c), expressed in MHz per W/cm^2 (~4.687e-8)
 AU_POL_TO_MHZ_PER_W_CM2 = AU_POL_SI / (2 * EPSILON_0 * C_LIGHT * H_PLANCK) * 1e4 / 1e6
 
-AU_DIPOLE_TO_DEBYE = AU_DIPOLE_SI / DEBYE_SI              # ~2.5417
-
-
-class IncompatibleUnitsError(ValueError):
-    """Conversion requested between units of different dimensions."""
-
 
 class MoleculeFileError(ValueError):
     """Molecule spec file failed to parse or violates an invariant."""
-
-
-# unit token -> (dimension, factor to the dimension's base unit)
-_UNITS = {
-    "MHz": ("spectroscopic_energy", 1.0),
-    "GHz": ("spectroscopic_energy", 1e3),
-    "cm^-1": ("spectroscopic_energy", CM1_TO_MHZ),
-    "kV/cm": ("electric_field", 1.0),
-    "V/m": ("electric_field", 1e-5),
-    "debye": ("dipole", 1.0),
-    "au_dipole": ("dipole", AU_DIPOLE_TO_DEBYE),
-    "au_polarizability": ("polarizability", 1.0),
-    "MHz/(W/cm^2)": ("polarizability", 1.0 / AU_POL_TO_MHZ_PER_W_CM2),
-    "nm": ("length", 1.0),
-    "W/cm^2": ("intensity", 1.0),
-}
-
-
-@dataclass(frozen=True)
-class Quantity:
-    value: float
-    unit: str
-
-    def __post_init__(self):
-        if self.unit not in _UNITS:
-            raise IncompatibleUnitsError(f"unknown unit {self.unit!r}")
-
-
-def convert(q: Quantity, to_unit: str) -> Quantity:
-    """Exact linear rescale of ``q`` to ``to_unit`` within one dimension."""
-    if to_unit not in _UNITS:
-        raise IncompatibleUnitsError(f"unknown unit {to_unit!r}")
-    dim_from, f_from = _UNITS[q.unit]
-    dim_to, f_to = _UNITS[to_unit]
-    if dim_from != dim_to:
-        raise IncompatibleUnitsError(
-            f"cannot convert {q.unit!r} ({dim_from}) to {to_unit!r} ({dim_to})"
-        )
-    return Quantity(q.value * (f_from / f_to), to_unit)
-
-
-def nu_from_wavelength_nm(lambda_nm: float) -> float:
-    """Vacuum wavenumber in cm^-1 for a wavelength in nm (reciprocal map)."""
-    return 1e7 / lambda_nm
-
-
-def wavelength_nm_from_nu(nu_cm: float) -> float:
-    """Vacuum wavelength in nm for a wavenumber in cm^-1."""
-    return 1e7 / nu_cm
 
 
 @dataclass(frozen=True)

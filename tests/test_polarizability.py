@@ -1,4 +1,4 @@
-"""AC tensors: closed-form vs state-sum routes, shifts, irreducible content."""
+"""AC tensors: closed-form vs state-sum routes, branches and shifts."""
 
 import math
 
@@ -13,14 +13,12 @@ from magictrap.polarizability import (
     _intermediate_states,
     _sos_table,
     PolarizationVector,
-    alpha_angle_scan,
     alpha_eff,
     alpha_eff_from_moments,
     alpha_tensor_branches,
     alpha_tensor_closed_form,
     alpha_tensor_sos,
     dressed_c22_coherence,
-    irreducible_decompose,
     stark_shift,
 )
 from magictrap.stark import StateLabel, dressed_moments, solve
@@ -250,6 +248,16 @@ def test_trace_identity():
                 assert t.abar == pytest.approx((A_PAR + 2 * A_PERP) / 3.0, rel=1e-13)
 
 
+def test_closed_form_tensor_is_symmetric_with_trace_abar():
+    # Hermitian and also symmetric, so it has no rank-1 (antisymmetric) part:
+    # only the rank-0 part abar and a rank-2 part
+    sys = block(RBCS, 4.0, 1)
+    t = alpha_tensor_closed_form(sys, StateLabel(1, 1, "+"), A_PAR, A_PERP)
+    assert np.max(np.abs(t.matrix - t.matrix.conj().T)) < 1e-12 * A_PAR
+    assert np.max(np.abs(t.matrix - t.matrix.T)) < 1e-10 * A_PAR
+    assert abs(t.abar - (A_PAR + 2 * A_PERP) / 3.0) < 1e-10 * A_PAR
+
+
 def test_block_zz_sum_is_field_independent():
     # summing alpha_zz over a complete dressed block is a unitary trace
     for m in (0, 1):
@@ -400,22 +408,6 @@ def test_magic_angle_erases_anisotropy_for_m0():
             assert alpha_eff(t, pol) == pytest.approx(abar, rel=1e-12)
 
 
-def test_angle_scan_endpoints_and_shape():
-    sys0 = block(KRB, 2.0, 0)
-    sys1 = block(KRB, 2.0, 1)
-    labels = [StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 1, "+")]
-    thetas = np.array([0.0, MAGIC_ANGLE_DEG, 90.0])
-    grid = alpha_angle_scan({0: sys0, 1: sys1}, labels, A_PAR, A_PERP, thetas)
-    assert grid.shape == (3, 3)
-    for col, label in enumerate(labels):
-        sys = sys0 if label.m == 0 else sys1
-        t = alpha_tensor_closed_form(sys, label, A_PAR, A_PERP)
-        assert grid[0, col] == pytest.approx(t.zz, rel=1e-13)
-        assert grid[2, col] == pytest.approx(t.xx, rel=1e-13)
-    # magic angle column-independent for the M = 0 states
-    assert grid[1, 0] == pytest.approx(grid[1, 1], rel=1e-12)
-
-
 # ------------------------------------------------------------------- AC shifts
 
 def test_stark_shift_scaling():
@@ -431,51 +423,3 @@ def test_stark_shift_scaling():
     assert s1.delta_e_mhz < 0  # red shift for positive alpha
     with pytest.raises(ValueError):
         stark_shift(t, z, -1.0)
-
-
-# --------------------------------------------------------- irreducible content
-
-def test_decompose_identity():
-    p = irreducible_decompose(np.eye(3))
-    assert p.scalar == pytest.approx(1.0)
-    assert np.max(np.abs(p.vector)) < 1e-14
-    assert np.max(np.abs(p.tensor)) < 1e-14
-
-
-def test_decompose_axial():
-    a, b = 2.0, 5.0
-    p = irreducible_decompose(np.diag([a, a, b]))
-    assert p.scalar == pytest.approx((2 * a + b) / 3.0, rel=1e-13)
-    assert np.max(np.abs(p.vector)) < 1e-14
-    assert p.tensor[2] == pytest.approx(math.sqrt(2 / 3) * (b - a), rel=1e-13)
-    off = np.abs(p.tensor[[0, 1, 3, 4]])
-    assert np.max(off) < 1e-14
-
-
-def test_decompose_antisymmetric_is_pure_vector():
-    m = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    p = irreducible_decompose(m)
-    assert abs(p.scalar) < 1e-14
-    assert np.max(np.abs(p.tensor)) < 1e-14
-    assert np.max(np.abs(p.vector)) > 0.5
-
-
-def test_decompose_symmetric_has_no_vector():
-    sys = block(RBCS, 4.0, 1)
-    t = alpha_tensor_closed_form(sys, StateLabel(1, 1, "+"), A_PAR, A_PERP)
-    p = irreducible_decompose(t)
-    assert np.max(np.abs(p.vector)) < 1e-10 * A_PAR
-    assert abs(p.scalar - (A_PAR + 2 * A_PERP) / 3.0) < 1e-10 * A_PAR
-
-
-cplx = st.floats(min_value=-5, max_value=5, allow_nan=False)
-
-
-@given(st.lists(cplx, min_size=18, max_size=18))
-@settings(max_examples=80)
-def test_decompose_recompose_round_trip(parts):
-    re = np.array(parts[:9]).reshape(3, 3)
-    im = np.array(parts[9:]).reshape(3, 3)
-    m = re + 1j * im
-    p = irreducible_decompose(m)
-    assert np.max(np.abs(p.recompose() - m)) < 1e-12 * max(1.0, np.max(np.abs(m)))

@@ -1,26 +1,17 @@
-"""Unit conversions, physical constants, molecule table loading."""
-
-import math
+"""Physical constants and molecule table loading."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from magictrap.units import (
     AU_POL_TO_MHZ_PER_W_CM2,
     CM1_TO_MHZ,
     DEBYE_KVCM_TO_MHZ,
-    IncompatibleUnitsError,
     MoleculeFileError,
     MoleculeSpec,
-    Quantity,
     alpha_lambda_at,
     bundled_molecule_names,
-    convert,
     load_molecule,
-    nu_from_wavelength_nm,
-    wavelength_nm_from_nu,
 )
 
 
@@ -49,72 +40,6 @@ def test_polarizability_intensity_constant():
     expected = au_pol / (2 * eps0 * c * h) * 1e4 / 1e6
     assert AU_POL_TO_MHZ_PER_W_CM2 == pytest.approx(expected, rel=1e-12)
     assert AU_POL_TO_MHZ_PER_W_CM2 == pytest.approx(4.687e-8, rel=1e-3)
-
-
-@pytest.mark.parametrize(
-    "value,src,dst,expected",
-    [
-        (1.0, "GHz", "MHz", 1000.0),
-        (1.0, "cm^-1", "MHz", 29979.2458),
-        (2.0, "kV/cm", "V/m", 2e5),
-        (1.0, "debye", "au_dipole", 1 / 2.541746473),
-        (1.0, "au_polarizability", "MHz/(W/cm^2)", 4.687124990181701e-08),
-    ],
-)
-def test_convert_known_values(value, src, dst, expected):
-    out = convert(Quantity(value, src), dst)
-    assert out.unit == dst
-    assert out.value == pytest.approx(expected, rel=1e-9)
-
-
-@given(
-    st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
-    st.sampled_from(
-        [
-            ("MHz", "GHz"),
-            ("MHz", "cm^-1"),
-            ("GHz", "cm^-1"),
-            ("kV/cm", "V/m"),
-            ("debye", "au_dipole"),
-            ("au_polarizability", "MHz/(W/cm^2)"),
-        ]
-    ),
-)
-@settings(max_examples=150)
-def test_convert_round_trip(value, pair):
-    src, dst = pair
-    there = convert(Quantity(value, src), dst)
-    back = convert(there, src)
-    assert back.value == pytest.approx(value, rel=1e-12)
-
-
-def test_convert_rejects_cross_dimension():
-    with pytest.raises(IncompatibleUnitsError):
-        convert(Quantity(1.0, "MHz"), "kV/cm")
-    with pytest.raises(IncompatibleUnitsError):
-        convert(Quantity(1.0, "debye"), "au_polarizability")
-
-
-def test_convert_rejects_unknown_unit():
-    with pytest.raises(IncompatibleUnitsError):
-        convert(Quantity(1.0, "MHz"), "furlongs")
-    with pytest.raises(IncompatibleUnitsError):
-        Quantity(1.0, "furlongs")
-
-
-def test_quantity_carries_unit():
-    q = convert(Quantity(3.0, "GHz"), "MHz")
-    assert q.value == pytest.approx(3000.0)
-    assert q.unit == "MHz"
-
-
-def test_wavelength_wavenumber_reciprocal():
-    nu = nu_from_wavelength_nm(1090.0)
-    assert nu == pytest.approx(1e7 / 1090.0, rel=1e-12)
-    assert wavelength_nm_from_nu(nu) == pytest.approx(1090.0, rel=1e-12)
-    # reciprocal maps are deliberately not part of convert()
-    with pytest.raises(IncompatibleUnitsError):
-        convert(Quantity(1090.0, "nm"), "cm^-1")
 
 
 def test_bundled_molecules():
