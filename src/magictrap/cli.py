@@ -86,6 +86,13 @@ def _range_arg(text: str):
     return lo, hi
 
 
+def _field_range_arg(text: str):
+    lo, hi = _range_arg(text)
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"fields must be >= 0, got {text!r}")
+    return lo, hi
+
+
 def _finite_arg(text: str) -> float:
     try:
         x = float(text)
@@ -93,6 +100,20 @@ def _finite_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _nonneg_arg(text: str) -> float:
+    x = _finite_arg(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return x
+
+
+def _positive_arg(text: str) -> float:
+    x = _finite_arg(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return x
 
 
@@ -112,7 +133,7 @@ def _grid_count_arg(noun: str):
 
 
 def _check_basis(args) -> None:
-    """Reject a --jmax that stark would refuse for some requested state."""
+    """Reject a --jmax that stark would refuse, or that drops a requested state."""
     labels = getattr(args, "states", None) or getattr(args, "pair", None)
     if labels is None:
         return
@@ -120,6 +141,9 @@ def _check_basis(args) -> None:
         stark._check_j_max(max(abs(lb.m) for lb in labels), args.jmax)
     except ValueError as exc:
         raise UsageError(f"--jmax: {exc}") from None
+    for lb in labels:
+        if lb.j_tilde > args.jmax:
+            raise UsageError(f"--jmax: state {lb} needs J_tilde <= j_max = {args.jmax}")
 
 
 def _pol_arg(text: str) -> str:
@@ -234,8 +258,10 @@ def _cmd_polar(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    mol = load_molecule(args.molecule)
     lo, hi = args.range
+    if args.var == "E_dc" and lo < 0:
+        raise UsageError(f"--range: fields must be >= 0, got {lo:g}:{hi:g}")
+    mol = load_molecule(args.molecule)
     grid = SweepGrid(
         variable=args.var,
         start=lo,
@@ -381,7 +407,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eigen", help="dressed-state energies and alignment")
     add_molecule(p)
-    p.add_argument("--field", type=_finite_arg, default=0.0, help="DC field in kV/cm")
+    p.add_argument("--field", type=_nonneg_arg, default=0.0, help="DC field in kV/cm")
     p.add_argument("--states", type=_states_arg, required=True, help="colon-separated J,M[,+-] list")
     p.add_argument("--jmax", type=int, default=10)
     add_output(p)
@@ -389,12 +415,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("polar", help="polarizability tensors and AC shifts")
     add_molecule(p)
-    p.add_argument("--field", type=_finite_arg, default=0.0)
+    p.add_argument("--field", type=_nonneg_arg, default=0.0)
     p.add_argument("--nu", type=_finite_arg, default=9174.0, help="laser wavenumber in cm^-1")
     p.add_argument("--pol", type=_pol_arg, default="z", help="z, x, theta:<deg>, sigma+ or sigma-")
     p.add_argument("--states", type=_states_arg, required=True)
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--intensity", type=_finite_arg, default=1.0, help="W/cm^2")
+    p.add_argument("--intensity", type=_nonneg_arg, default=1.0, help="W/cm^2")
     add_output(p)
     p.set_defaults(handler=_cmd_polar)
 
@@ -403,12 +429,12 @@ def build_parser() -> _Parser:
     p.add_argument("--var", choices=("E_dc", "theta", "nu"), required=True)
     p.add_argument("--range", type=_range_arg, required=True, help="lo:hi")
     p.add_argument("--steps", type=_grid_count_arg("steps"), default=61)
-    p.add_argument("--field", type=_finite_arg, default=0.0, help="fixed DC field for theta/nu sweeps")
+    p.add_argument("--field", type=_nonneg_arg, default=0.0, help="fixed DC field for theta/nu sweeps")
     p.add_argument("--nu", type=_finite_arg, default=9174.0, help="fixed wavenumber for E_dc/theta sweeps")
     p.add_argument("--pol", type=_pol_arg, default="z", help="fixed polarization for E_dc/nu sweeps")
     p.add_argument("--states", type=_states_arg, required=True)
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--intensity", type=_finite_arg, default=1.0)
+    p.add_argument("--intensity", type=_nonneg_arg, default=1.0)
     add_output(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -416,7 +442,7 @@ def build_parser() -> _Parser:
     add_molecule(p)
     p.add_argument("--pair", type=_pair_arg, required=True, help="A:B, e.g. 0,0:1,0")
     p.add_argument("--pol", type=_pol_arg, default="z")
-    p.add_argument("--range", type=_range_arg, default=(0.0, 15.0), help="search range lo:hi in kV/cm")
+    p.add_argument("--range", type=_field_range_arg, default=(0.0, 15.0), help="search range lo:hi in kV/cm")
     p.add_argument("--nu", type=_finite_arg, default=9174.0)
     p.add_argument("--jmax", type=int, default=10)
     p.add_argument("--scan-points", type=_grid_count_arg("scan points"), default=64)
@@ -427,7 +453,7 @@ def build_parser() -> _Parser:
     add_molecule(p)
     p.add_argument("--pair", type=_pair_arg, default=(StateLabel(0, 0), StateLabel(1, 0)))
     p.add_argument("--nu", type=_finite_arg, default=9174.0)
-    p.add_argument("--range", type=_range_arg, default=(0.0, 6.0), help="DC field grid lo:hi in kV/cm")
+    p.add_argument("--range", type=_field_range_arg, default=(0.0, 6.0), help="DC field grid lo:hi in kV/cm")
     p.add_argument("--steps", type=_grid_count_arg("steps"), default=7)
     p.add_argument("--jmax", type=int, default=10)
     add_output(p)
@@ -437,8 +463,8 @@ def build_parser() -> _Parser:
     p.add_argument("--nu", type=_finite_arg, default=9174.0, help="reference beam wavenumber in cm^-1")
     p.add_argument("--delta-b", type=_finite_arg, default=80.0, help="beam b offset in MHz")
     p.add_argument("--delta-c", type=_finite_arg, default=160.0, help="beam c offset in MHz")
-    p.add_argument("--f-mot", type=_finite_arg, default=25.0, help="trap motional frequency in kHz")
-    p.add_argument("--ratio", type=_finite_arg, default=100.0, help="separation-of-scales threshold")
+    p.add_argument("--f-mot", type=_positive_arg, default=25.0, help="trap motional frequency in kHz")
+    p.add_argument("--ratio", type=_positive_arg, default=100.0, help="separation-of-scales threshold")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default="-")
     p.add_argument("--no-meta", action="store_true")
@@ -446,14 +472,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("convergence", help="basis-size sensitivity of dressed energies")
     add_molecule(p)
-    p.add_argument("--field", type=_finite_arg, default=15.0)
+    p.add_argument("--field", type=_nonneg_arg, default=15.0)
     p.add_argument(
         "--states",
         type=_states_arg,
         default=[StateLabel(0, 0), StateLabel(1, 0), StateLabel(1, 1)],
     )
     p.add_argument("--jmax", type=int, default=10)
-    p.add_argument("--tol", type=_finite_arg, default=1e-8)
+    p.add_argument("--tol", type=_positive_arg, default=1e-8)
     add_output(p)
     p.set_defaults(handler=_cmd_convergence)
 
@@ -487,3 +513,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

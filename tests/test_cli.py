@@ -159,6 +159,24 @@ def test_convergence_flags_edge_state(capsys):
         ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:10", "--states", "0,0", "--jmax", "2"],
         ["eigen", "--molecule", "KRb", "--states", "0,0:1,1", "--jmax", "3"],
         ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,1,+", "--jmax", "3"],
+        ["eigen", "--molecule", "KRb", "--states", "11,0"],
+        ["magic-angle", "--molecule", "KRb", "--pair", "0,0:11,0"],
+        ["polar", "--molecule", "KRb", "--states", "0,0:7,1", "--jmax", "6"],
+        ["eigen", "--molecule", "KRb", "--states", "0,0", "--field=-1"],
+        ["polar", "--molecule", "KRb", "--states", "0,0", "--field=-1"],
+        ["polar", "--molecule", "KRb", "--states", "0,0", "--intensity=-1"],
+        ["sweep", "--molecule", "KRb", "--var", "theta", "--range", "0:90", "--states", "0,0", "--field=-1"],
+        ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range=-1:5", "--states", "0,0"],
+        ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0", "--intensity=-2"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range=-1:15"],
+        ["magic-angle", "--molecule", "KRb", "--range=-1:6"],
+        ["convergence", "--molecule", "KRb", "--field=-1"],
+        ["convergence", "--molecule", "KRb", "--tol=-1"],
+        ["convergence", "--molecule", "KRb", "--tol", "0"],
+        ["lattice", "--ratio=-5"],
+        ["lattice", "--ratio", "0"],
+        ["lattice", "--f-mot", "0"],
+        ["lattice", "--f-mot=-25"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -197,6 +215,16 @@ def test_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(magictrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["eigen", "--molecule", "KRb", "--states", "0,0", "--no-meta"]
+    done = subprocess.run([sys.executable, "-m", "magictrap.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "state[1],E[MHz],alignment_cos2[1]"
 
 
 def test_help_exits_0(capsys):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magictrap.magic import (
     DegenerateDifferenceError,
     NoCrossingError,
     SweepGrid,
+    _alpha_effs_theta,
     _root_brackets,
     find_magic_field,
     find_magic_fields,
@@ -14,9 +17,9 @@ from magictrap.magic import (
     magic_field_polarization_invariance,
     sweep,
 )
-from magictrap.polarizability import MAGIC_ANGLE_DEG, PolarizationVector
-from magictrap.stark import StateLabel
-from magictrap.units import MoleculeSpec, load_molecule
+from magictrap.polarizability import MAGIC_ANGLE_DEG, PolarizationVector, alpha_eff, alpha_tensor_closed_form
+from magictrap.stark import StateLabel, solve
+from magictrap.units import MoleculeSpec, alpha_lambda_at, load_molecule
 
 import oracles
 
@@ -205,6 +208,25 @@ def test_magic_angle_isotropic_molecule_degenerate():
 
 
 # ----------------------------------------------------------------------- sweep
+
+@given(
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+    st.sampled_from([0, 1, 2]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["+", "-"]),
+    st.lists(st.floats(min_value=-180.0, max_value=180.0, allow_nan=False), min_size=1, max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_theta_identity_matches_closed_form_tensor(beta, m, dj, branch, thetas):
+    """alpha_x sin^2 + alpha_z cos^2 is the tensor's alpha_eff under linear light."""
+    label = StateLabel(m + dj, m, branch if m else "")
+    a_par, a_perp = alpha_lambda_at(RBCS, 9174.0)
+    field = RBCS.field_for_beta(beta)
+    (got,) = _alpha_effs_theta(RBCS, [label], field, a_par, a_perp, thetas, 10)
+    tens = alpha_tensor_closed_form(solve(RBCS, field, m, 10), label, a_par, a_perp)
+    want = [alpha_eff(tens, PolarizationVector.linear_deg(t)) for t in thetas]
+    assert np.max(np.abs(got - want)) <= 1e-13 * (a_par + 2 * a_perp) / 3
+
 
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
