@@ -166,7 +166,7 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
     cells = [x]
     for a in alphas:
         cells += [a, -a * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2]
-    for row in zip(*(np.broadcast_to(c, x.shape).tolist() for c in cells)):
+    for row in zip(*(c.tolist() for c in cells)):
         table.add_row(*row)
     return table
 
