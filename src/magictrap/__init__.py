@@ -21,6 +21,7 @@ from .magic import (
     DegenerateDifferenceError,
     MagicAngleReport,
     NoCrossingError,
+    RefinementError,
     SweepGrid,
     emit_figure_data,
     find_magic_field,
@@ -35,19 +36,15 @@ from .polarizability import (
     PolarizationVector,
     StarkShift,
     alpha_eff,
-    alpha_tensor_branches,
     alpha_tensor_closed_form,
     alpha_tensor_sos,
     stark_shift,
 )
 from .stark import (
-    StarkBlock,
     StarkEigensystem,
     StateLabel,
     alignment,
-    build_block,
     check_convergence,
-    diagonalize,
     solve,
 )
 from .units import (
@@ -66,14 +63,13 @@ __all__ = [
     "MoleculeSpec", "MoleculeFileError",
     "load_molecule", "bundled_molecule_names", "alpha_lambda_at",
     "DEBYE_KVCM_TO_MHZ", "AU_POL_TO_MHZ_PER_W_CM2",
-    "StateLabel", "StarkBlock", "StarkEigensystem",
-    "build_block", "diagonalize", "solve", "alignment", "check_convergence",
+    "StateLabel", "StarkEigensystem", "solve", "alignment", "check_convergence",
     "PolarizationVector", "PolarizabilityTensor", "StarkShift",
-    "alpha_tensor_closed_form", "alpha_tensor_branches", "alpha_tensor_sos",
+    "alpha_tensor_closed_form", "alpha_tensor_sos",
     "alpha_eff", "stark_shift",
     "MAGIC_ANGLE_DEG",
     "SweepGrid", "CrossingReport", "MagicAngleReport",
-    "NoCrossingError", "DegenerateDifferenceError",
+    "NoCrossingError", "DegenerateDifferenceError", "RefinementError",
     "sweep", "emit_figure_data", "find_magic_field", "find_magic_fields",
     "magic_field_polarization_invariance", "magic_angle",
     "BeamConfig", "LatticePlan", "SeparationOfScalesError",

@@ -22,6 +22,7 @@ from .lattice import SeparationOfScalesError, plan_paper_lattice, plan_to_json
 from .magic import (
     DegenerateDifferenceError,
     NoCrossingError,
+    RefinementError,
     SweepGrid,
     emit_figure_data,
     find_magic_fields,
@@ -38,6 +39,7 @@ __all__ = ["main", "run", "emit_figure_data"]
 _COMPUTE_ERRORS = (
     NoCrossingError,
     DegenerateDifferenceError,
+    RefinementError,
     SeparationOfScalesError,
     MoleculeFileError,
     FileNotFoundError,
@@ -132,8 +134,14 @@ def _grid_count_arg(noun: str):
     return parse
 
 
+# a ceiling on the basis size: eigh cost grows as j_max^3, and memory as j_max^2
+_JMAX_CEILING = 200
+
+
 def _check_basis(args) -> None:
-    """Reject a --jmax that stark would refuse, or that drops a requested state."""
+    """Reject a --jmax above the ceiling, one stark would refuse, or one that drops a requested state."""
+    if getattr(args, "jmax", 0) > _JMAX_CEILING:
+        raise UsageError(f"--jmax must be <= {_JMAX_CEILING}, got {args.jmax}")
     labels = getattr(args, "states", None) or getattr(args, "pair", None)
     if labels is None:
         return
@@ -207,12 +215,9 @@ def _cmd_eigen(args) -> str:
         beta=f"{mol.beta(args.field):.12g}",
         j_max=str(args.jmax),
     )
-    systems = {}
+    systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in args.states}}
     for lb in args.states:
-        m_abs = abs(lb.m)
-        if m_abs not in systems:
-            systems[m_abs] = stark.solve(mol, args.field, m_abs, args.jmax)
-        sys_m = systems[m_abs]
+        sys_m = systems[abs(lb.m)]
         table.add_row(str(lb), sys_m.energy(lb.j_tilde), stark.alignment(sys_m, lb.j_tilde))
     return table.render(args.format, include_meta=not args.no_meta)
 
@@ -243,12 +248,9 @@ def _cmd_polar(args) -> str:
         intensity_w_cm2=f"{args.intensity:.12g}",
         j_max=str(args.jmax),
     )
-    systems = {}
+    systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in labels}}
     for lb in labels:
-        m_abs = abs(lb.m)
-        if m_abs not in systems:
-            systems[m_abs] = stark.solve(mol, args.field, m_abs, args.jmax)
-        tens = alpha_tensor_closed_form(systems[m_abs], lb, a_par, a_perp, pol)
+        tens = alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, pol)
         shift = stark_shift(tens, pol, args.intensity)
         table.add_row(
             str(lb), tens.xx, tens.yy, tens.zz,

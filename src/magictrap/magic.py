@@ -22,8 +22,8 @@ outer product of two kernel results.
 
 Magic fields come from one batched scan of the same kernel; sign changes
 between nodes are refined by Brent's method on it, one field at a time, and
-a node where the difference is exactly zero is itself a root. A difference
-that is ~0 on most nodes (the magic angle) is reported as degenerate instead.
+a node where the difference is zero to within 1e-10 abar is itself a root. A
+difference that is ~0 on most nodes (the magic angle) is degenerate instead.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "MagicAngleReport",
     "NoCrossingError",
     "DegenerateDifferenceError",
+    "RefinementError",
     "sweep",
     "emit_figure_data",
     "find_magic_field",
@@ -65,6 +66,10 @@ class NoCrossingError(RuntimeError):
 
 class DegenerateDifferenceError(RuntimeError):
     """Difference is identically ~0 on the range; a root would be spurious."""
+
+
+class RefinementError(RuntimeError):
+    """Brent refinement of a bracketed sign change did not converge."""
 
 
 _VARIABLES = {"E_dc": ("E_dc", "kV/cm"), "theta": ("theta", "deg"), "nu": ("nu", "cm^-1")}
@@ -348,14 +353,19 @@ def find_magic_fields(
         )
 
     reports = []
-    for i, j in _root_brackets(vals):
+    # a node within the noise of zero is a root there, as at a tangent zero
+    for i, j in _root_brackets(np.where(near_zero, 0.0, vals)):
         a, b = float(grid[i]), float(grid[j])
         if i == j:
             root, tol = a, 0.0
         else:
             from scipy.optimize import brentq   # imported here: slow to load, and only refinement needs it
 
-            root = brentq(lambda e: float(diff(e)), a, b, xtol=1e-15, rtol=1e-12)
+            root, info = brentq(lambda e: float(diff(e)), a, b, xtol=1e-15, rtol=1e-12,
+                                full_output=True, disp=False)
+            if not info.converged:
+                raise RefinementError(f"refinement of the crossing in [{a:.6g}, {b:.6g}] kV/cm did not "
+                                      f"converge in {info.iterations} steps; narrow the range")
             tol = 1e-12 * abs(root) + 1e-15
         alpha_a, alpha_b = alphas(root)
         reports.append(
@@ -508,6 +518,8 @@ def magic_angle(
     angles = [c[1] for c in crossings if c[1] is not None]
     spread_deg = (max(angles) - min(angles)) if len(angles) >= 2 else 0.0
     no_common = missing > 0 or spread_deg > 1e-6
+    # as for the crossings, a spread below tiny is rounding noise around 0
+    spread_au = float(np.max(at_theta0) - np.min(at_theta0))
     return MagicAngleReport(
         molecule_name=molecule.name,
         pair=tuple(pair),
@@ -515,7 +527,7 @@ def magic_angle(
         theta0_deg=MAGIC_ANGLE_DEG,
         cos2_theta0=1.0 / 3.0,
         abar_au=abar,
-        spread_au=float(np.max(at_theta0) - np.min(at_theta0)),
+        spread_au=0.0 if spread_au < tiny else spread_au,
         crossings=tuple(crossings),
         no_common_angle=no_common,
         degenerate=False,

@@ -21,7 +21,9 @@ The sum-over-states route never reads the closed form's moments.
 Degenerate |M| > 0 pairs are treated in the two-dimensional subspace
 {|+M>, |-M>}. The light's polarization selects the stationary combinations;
 for linear polarization in the x-z plane these are exactly
-(|+M> +- |-M>)/sqrt(2), which carry the +/- branch labels.
+(|+M> +- |-M>)/sqrt(2), which carry the +/- branch labels. The closed-form
+tensor and ``alpha_eff_from_moments`` read one rule, ``_branch_orientation``,
+for which combination is the + branch and when the light cannot split the pair.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "PolarizabilityTensor",
     "StarkShift",
     "alpha_tensor_closed_form",
-    "alpha_tensor_branches",
     "alpha_tensor_sos",
     "alpha_eff",
     "alpha_eff_from_moments",
@@ -68,7 +69,7 @@ class PolarizationVector:
         if e.shape != (3,):
             raise ValueError("polarization must be a 3-vector")
         norm = float(np.sum(np.abs(e) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:   # written so that a nan norm fails too
             raise ValueError(f"polarization must have unit norm, got |eps|^2 = {norm}")
 
     @property
@@ -102,14 +103,6 @@ class PolarizationVector:
         raise ValueError(f"sense must be '+' or '-', got {sense!r}")
 
     @classmethod
-    def from_components(cls, ex, ey, ez) -> "PolarizationVector":
-        v = np.array([ex, ey, ez], dtype=complex)
-        n = math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        if n == 0.0:
-            raise ValueError("zero polarization vector")
-        return cls(tuple(v / n))
-
-    @classmethod
     def parse(cls, text: str) -> "PolarizationVector":
         """Parse "z", "x", "theta:<deg>", "sigma+" or "sigma-"."""
         t = text.strip().lower()
@@ -125,7 +118,9 @@ class PolarizationVector:
             try:
                 deg = float(t[len("theta:"):])
             except ValueError:
-                raise ValueError(f"bad angle in polarization {text!r}") from None
+                deg = math.nan
+            if not math.isfinite(deg):
+                raise ValueError(f"bad angle in polarization {text!r}; need a finite number of degrees")
             return cls.linear_deg(deg)
         raise ValueError(
             f"cannot parse polarization {text!r}; expected z, x, theta:<deg>, sigma+ or sigma-"
@@ -156,10 +151,8 @@ class PolarizationVector:
 class PolarizabilityTensor:
     """3x3 Hermitian lab-frame tensor (a.u.) for one dressed state.
 
-    ``subspace_vector`` records the (c_plus, c_minus) combination of the
-    degenerate |+M>, |-M> pair this tensor belongs to (None for M = 0).
-    ``degenerate`` is set when the light cannot split the pair, in which
-    case the branch assignment is conventional rather than physical.
+    ``degenerate`` is set when the light cannot split the |+M>, |-M> pair,
+    in which case the branch assignment is conventional rather than physical.
     """
 
     matrix: np.ndarray
@@ -168,7 +161,6 @@ class PolarizabilityTensor:
     alpha_par: float
     alpha_perp: float
     degenerate: bool = False
-    subspace_vector: tuple | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -217,40 +209,21 @@ _K_COHERENCE = np.array(
 ) / math.sqrt(6.0)
 
 
-def _diagonal_geometry(sys, j_tilde, alpha_par, alpha_perp):
-    abar = (alpha_par + 2.0 * alpha_perp) / 3.0
-    da = alpha_par - alpha_perp
-    c0 = dressed_c20(sys, j_tilde)
-    axx = abar - da * c0 / 3.0
-    azz = abar + 2.0 * da * c0 / 3.0
-    return np.diag([axx, axx, azz]).astype(complex), da
+def _branch_orientation(c, alpha_par, alpha_perp):
+    """Which stationary combination of a degenerate pair is the + branch.
 
-
-def _resolve_branch_vectors(coupling: complex, scale: float):
-    """Stationary combinations of the degenerate pair under the light field.
-
-    The 2x2 geometry operator is g*I + [[0, coupling], [conj, 0]]; its
-    eigenvectors are (1, e^{i phi})/sqrt(2). The one overlapping
-    (1, 1)/sqrt(2) most strongly is the + branch. Returns
-    (v_plus, v_minus, degenerate_flag).
+    The light couples |+M> and |-M> through c = da t (eps^T K eps*), so the
+    2x2 geometry operator is g I + [[0, c], [conj(c), 0]], with eigenvectors
+    (1, +-conj(c)/|c|)/sqrt(2). The + branch is the one closer to
+    (|+M> + |-M>)/sqrt(2). Returns, elementwise over ``c``: +1 where that is
+    (1, conj(c)/|c|)/sqrt(2), i.e. Re c >= 0; -1 where it is
+    (1, -conj(c)/|c|)/sqrt(2); and 0 where |c| is below _DEGENERACY_RTOL of
+    the larger molecular polarizability, so the light cannot split the pair
+    and the conventional (1, +-1)/sqrt(2) stay.
     """
-    if abs(coupling) <= _DEGENERACY_RTOL * scale:
-        v_plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        v_minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-        return v_plus, v_minus, True
-    phase = coupling / abs(coupling)
-    v_up = np.array([1.0, np.conj(phase)], dtype=complex) / math.sqrt(2)
-    v_down = np.array([1.0, -np.conj(phase)], dtype=complex) / math.sqrt(2)
-    # assign +/- by overlap with the conventional symmetric combination
-    if abs(v_up[0] + v_up[1]) >= abs(v_down[0] + v_down[1]):
-        return v_up, v_down, False
-    return v_down, v_up, False
-
-
-def _branch_tensor(diag, da, t, vec):
-    """Subspace tensor for combination vec = (c_plus, c_minus)."""
-    cross = np.conj(vec[0]) * vec[1] * da * t * _K_COHERENCE
-    return diag + cross + cross.conj().T
+    c = np.asarray(c)
+    scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
+    return np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, 0, np.where(c.real >= 0.0, 1, -1))
 
 
 def alpha_tensor_closed_form(
@@ -262,58 +235,42 @@ def alpha_tensor_closed_form(
 ) -> PolarizabilityTensor:
     """Tensor from the rank-2 geometry of the dressed state, no state sums.
 
-    For |M| > 0 the label must carry a +/- branch. By default the branch
-    states are the conventional (|+M> +- |-M>)/sqrt(2); pass ``polarization``
-    to let the light field pick the stationary combinations instead (they
-    coincide for linear polarization in the x-z plane).
+    The diagonal is abar - da <C_20>/3 (xx, yy) and abar + 2 da <C_20>/3
+    (zz). For |M| > 0 the label must carry a +/- branch, and the coherence
+    t = <C_2,+2> adds da t K to the <+M|...|-M> block. By default the branch
+    states are the conventional (|+M> +- |-M>)/sqrt(2), which is the case
+    eps^T K eps* = 1; pass ``polarization`` to let the light field pick the
+    stationary combinations instead (they coincide for linear polarization
+    in the x-z plane).
     """
     if abs(label.m) != abs(sys.m):
         raise ValueError(f"label {label} does not belong to an |M| = {abs(sys.m)} block")
-    diag, da = _diagonal_geometry(sys, label.j_tilde, alpha_par, alpha_perp)
-    beta = sys.beta
-    if label.m == 0:
-        return PolarizabilityTensor(
-            matrix=diag, state=label, beta=beta,
-            alpha_par=alpha_par, alpha_perp=alpha_perp,
-        )
-    if not label.branch:
-        raise ValueError(
-            f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; "
-            "request a +/- branch (or use alpha_tensor_branches)"
-        )
-    t = dressed_c22_coherence(sys, label.j_tilde)
-    scale = max(abs(alpha_par), abs(alpha_perp), 1e-300)
-    if polarization is None:
-        vec = np.array([1.0, _branch_sign(label.branch)], dtype=complex) / math.sqrt(2)
-        degenerate = abs(da * t) <= _DEGENERACY_RTOL * scale
-    else:
-        e = polarization.array
-        coupling = da * t * np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj())
-        v_plus, v_minus, degenerate = _resolve_branch_vectors(coupling, scale)
-        vec = v_plus if label.branch == "+" else v_minus
-    matrix = _branch_tensor(diag, da, t, vec)
+    abar = (alpha_par + 2.0 * alpha_perp) / 3.0
+    da = alpha_par - alpha_perp
+    c0 = dressed_c20(sys, label.j_tilde)
+    axx = abar - da * c0 / 3.0
+    azz = abar + 2.0 * da * c0 / 3.0
+    matrix = np.diag([axx, axx, azz]).astype(complex)
+    degenerate = False
+    if label.m != 0:
+        if not label.branch:
+            raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
+        t = dressed_c22_coherence(sys, label.j_tilde)
+        e = None if polarization is None else polarization.array
+        c = da * t * (1.0 if e is None else np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+        orientation = int(_branch_orientation(c, alpha_par, alpha_perp))
+        degenerate = orientation == 0
+        # the state is (1, w)/sqrt(2): start from (1, conj(c)/|c|), or from (1, 1)
+        # when degenerate, and flip w when that is not the requested branch
+        w =np.conj(c / abs(c)) if orientation else 1.0
+        if _branch_sign(label.branch) * (orientation or 1) < 0:
+            w = -w
+        vec = np.array([1.0, w], dtype=complex) / math.sqrt(2)
+        cross = np.conj(vec[0]) * vec[1] * da * t * _K_COHERENCE
+        matrix = matrix + cross + cross.conj().T
     return PolarizabilityTensor(
-        matrix=matrix, state=label, beta=beta,
-        alpha_par=alpha_par, alpha_perp=alpha_perp,
-        degenerate=degenerate, subspace_vector=(complex(vec[0]), complex(vec[1])),
-    )
-
-
-def alpha_tensor_branches(
-    sys: StarkEigensystem,
-    j_tilde: int,
-    alpha_par: float,
-    alpha_perp: float,
-    polarization: PolarizationVector | None = None,
-):
-    """Both +/- branch tensors of a degenerate |M| > 0 pair."""
-    if sys.m == 0:
-        raise ValueError("branches only exist for |M| > 0")
-    plus = StateLabel(j_tilde, abs(sys.m), "+")
-    minus = StateLabel(j_tilde, abs(sys.m), "-")
-    return (
-        alpha_tensor_closed_form(sys, plus, alpha_par, alpha_perp, polarization),
-        alpha_tensor_closed_form(sys, minus, alpha_par, alpha_perp, polarization),
+        matrix=matrix, state=label, beta=sys.beta,
+        alpha_par=alpha_par, alpha_perp=alpha_perp, degenerate=degenerate,
     )
 
 
@@ -409,9 +366,6 @@ def alpha_tensor_sos(
     return PolarizabilityTensor(
         matrix=matrix, state=label, beta=sys.beta,
         alpha_par=alpha_par, alpha_perp=alpha_perp,
-        subspace_vector=None if label.m == 0 else (
-            complex(1 / math.sqrt(2)), complex(branch / math.sqrt(2))
-        ),
     )
 
 
@@ -438,9 +392,9 @@ def alpha_eff_from_moments(
     one shape, e.g. from ``stark.dressed_moments``); ``alpha_par`` and
     ``alpha_perp`` may be arrays that broadcast against them. The diagonal part is
     (abar - da <C_20>/3) |eps_perp|^2 + (abar + 2 da <C_20>/3) |eps_z|^2. A
-    +/- branch adds +/-|c|, c = da t (eps^T K eps*), with the sign the light
-    assigns to that branch, or +/-Re c where it cannot split the pair
-    (|c| below the same degeneracy threshold the tensor route uses).
+    +/- branch adds +/-|c|, c = da t (eps^T K eps*), with the sign
+    ``_branch_orientation`` gives that branch, or +/-Re c where the light
+    cannot split the pair; the tensor route reads the same rule.
     """
     abar = (alpha_par + 2.0 * alpha_perp) / 3.0
     da = alpha_par - alpha_perp
@@ -453,11 +407,8 @@ def alpha_eff_from_moments(
     if not label.branch:
         raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
     c = da * np.asarray(c22, dtype=float) * complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
-    scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
-    # as in _resolve_branch_vectors: the + branch is the stationary combination
-    # closer to (|+M> + |-M>)/sqrt(2), which takes +|c| when Re c >= 0
-    split = np.where(c.real >= 0.0, np.abs(c), -np.abs(c))
-    split = np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, c.real, split)
+    orientation = _branch_orientation(c, alpha_par, alpha_perp)
+    split = np.where(orientation == 0, c.real, orientation * np.abs(c))
     return out + _branch_sign(label.branch) * split
 
 

@@ -4,7 +4,12 @@ A DC field along z couples J to J +/- 1 within fixed M, giving a real
 symmetric tridiagonal Hamiltonian in the |JM> basis. Eigenstates are labeled
 by J_tilde (the field-free J they connect to adiabatically); within a block
 that is simply ascending-energy order, since avoided crossings never close
-for this one-parameter family. Energies in MHz, fields in kV/cm throughout.
+for this one-parameter family. Fields are in kV/cm throughout.
+
+Two calls diagonalize a block against the same cached ``_geometry`` matrices:
+``solve`` at one field (energies in MHz, mixing rows), and ``dressed_moments``
+over a whole beta = d E / B grid (energies in units of B, and the rank-2
+moments <C_20>, <C_2,+2> that the polarizability depends on).
 """
 
 from __future__ import annotations
@@ -20,10 +25,7 @@ from .units import DEBYE_KVCM_TO_MHZ, MoleculeSpec
 
 __all__ = [
     "StateLabel",
-    "StarkBlock",
     "StarkEigensystem",
-    "build_block",
-    "diagonalize",
     "solve",
     "alignment",
     "dressed_c20",
@@ -68,21 +70,6 @@ class StateLabel:
     def __str__(self):
         tail = f",{self.branch}" if self.branch else ""
         return f"{self.j_tilde},{self.m}{tail}"
-
-
-@dataclass(frozen=True)
-class StarkBlock:
-    """H for one M block: diag B J(J+1), off-diag -d00 E <J||C_10||J'> terms."""
-
-    m: int
-    j_max: int
-    b_mhz: float
-    de_mhz: float   # d00 * E in MHz, the off-diagonal scale
-    h: np.ndarray
-
-    @property
-    def j_values(self) -> range:
-        return range(abs(self.m), self.j_max + 1)
 
 
 @dataclass(frozen=True)
@@ -158,43 +145,24 @@ def _check_j_max(m: int, j_max: int) -> None:
         raise ValueError(f"j_max must be >= |m| + 3 (got j_max = {j_max}, m = {m})")
 
 
-def build_block(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> StarkBlock:
-    """Assemble the M-block Hamiltonian at DC field ``e_dc_kv_cm``.
+def solve(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> StarkEigensystem:
+    """Diagonalize the M block at DC field ``e_dc_kv_cm``.
 
-    Entries H_{JJ'} = B J(J+1) delta_{JJ'} - d00 E <C_10 geometry>, in MHz.
-    Requires j_max >= |m| + 3 so every retained state has mixing headroom.
+    H_{JJ'} = B J(J+1) delta_{JJ'} - d00 E <JM|C_10|J'M>, in MHz. Requires
+    j_max >= |m| + 3 so every retained state has mixing headroom.
     """
     _check_j_max(m, j_max)
     if e_dc_kv_cm < 0:
         raise ValueError("E_dc must be >= 0")
     de_mhz = spec.d00_debye * e_dc_kv_cm * DEBYE_KVCM_TO_MHZ
     js = np.arange(abs(m), j_max + 1)
-    h = np.diag(spec.b_mhz * js * (js + 1)) - de_mhz * _geometry(abs(m), j_max).c10
-    h.setflags(write=False)
-    return StarkBlock(m=m, j_max=j_max, b_mhz=spec.b_mhz, de_mhz=de_mhz, h=h)
-
-
-def diagonalize(block: StarkBlock) -> StarkEigensystem:
-    energies, vecs = np.linalg.eigh(block.h)
-    u = vecs.T.copy()
-    for row in u:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    energies, vecs = np.linalg.eigh(np.diag(spec.b_mhz * js * (js + 1)) - de_mhz * _geometry(abs(m), j_max).c10)
+    # column k of vecs is state k; flip it so its largest-magnitude entry is positive
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(js))]
+    u = (vecs * np.where(peak < 0.0, -1.0, 1.0)).T.copy()
     energies.setflags(write=False)
     u.setflags(write=False)
-    return StarkEigensystem(
-        m=block.m,
-        j_max=block.j_max,
-        b_mhz=block.b_mhz,
-        de_mhz=block.de_mhz,
-        energies=energies,
-        u=u,
-    )
-
-
-def solve(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> StarkEigensystem:
-    """build_block + diagonalize in one step."""
-    return diagonalize(build_block(spec, e_dc_kv_cm, m, j_max))
+    return StarkEigensystem(m=m, j_max=j_max, b_mhz=spec.b_mhz, de_mhz=de_mhz, energies=energies, u=u)
 
 
 def alignment(sys: StarkEigensystem, j_tilde: int) -> float:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism, figure tables."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import magictrap
 from magictrap.cli import emit_figure_data, run
@@ -177,6 +180,12 @@ def test_convergence_flags_edge_state(capsys):
         ["lattice", "--ratio", "0"],
         ["lattice", "--f-mot", "0"],
         ["lattice", "--f-mot=-25"],
+        ["polar", "--molecule", "KRb", "--states", "0,0", "--pol", "theta:nan"],
+        ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0", "--pol", "theta:nan"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--pol", "theta:nan"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--pol", "theta:inf"],
+        ["eigen", "--molecule", "KRb", "--states", "0,0", "--jmax", "100000000"],
+        ["convergence", "--molecule", "KRb", "--jmax", "201"],
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -200,12 +209,97 @@ def test_usage_errors_exit_1(capsys, argv):
         ["eigen", "--molecule", "/nonexistent/path.molecule", "--states", "0,0"],
         # nu outside the tabulated range
         ["polar", "--molecule", "KRb", "--states", "0,0", "--nu", "99999"],
+        # a bracket so wide that Brent's method runs out of steps
+        ["find-magic-field", "--molecule", "RbCs", "--pair", "3,0:1,1,+", "--nu", "8800",
+         "--pol", "sigma-", "--range", "0:1e100", "--jmax", "4"],
     ],
 )
 def test_compute_errors_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+# ------------------------------------------------------------ CLI contract
+
+# a small grammar of (valid, invalid) values for each option
+_VALUES = {
+    "--molecule": (["KRb", "RbCs"], ["NoSuchMolecule"]),
+    "--states": (["0,0", "0,0:1,0", "1,1", "2,1,+:3,0"], ["11,0", "1;1"]),
+    "--pair": (["0,0:1,0", "1,0:1,1,+", "3,0:1,1,+", "1,1,+:1,1,-"], ["0,0"]),
+    "--pol": (["z", "x", "sigma+", "sigma-", "theta:20", "theta:54.7356103172"], ["theta:nan", "theta:inf", "w"]),
+    "--field": (["0", "2.5", "30"], ["-1", "nan"]),
+    "--nu": (["8800", "9174", "10400"], ["99999", "nan"]),
+    "--range": (["0:15", "0:1e20", "0:1e100", "0:90", "8800:10400"], ["5:0", "-1:5", "0:inf"]),
+    "--jmax": (["3", "4", "10", "12"], ["201"]),
+    "--steps": (["2", "7"], ["1"]),
+    "--scan-points": (["2", "16"], ["1"]),
+    "--intensity": (["1", "0"], ["-1"]),
+    "--var": (["E_dc", "theta", "nu"], []),
+    "--tol": (["1e-8"], ["0"]),
+    "--ratio": (["100"], ["-5"]),
+    "--f-mot": (["25"], ["0"]),
+}
+# (required, optional) options of each subcommand
+_OPTIONS = {
+    "eigen": (["--molecule", "--states"], ["--field", "--jmax"]),
+    "polar": (["--molecule", "--states"], ["--field", "--nu", "--pol", "--jmax", "--intensity"]),
+    "sweep": (["--molecule", "--states", "--var", "--range"],
+              ["--steps", "--field", "--nu", "--pol", "--jmax", "--intensity"]),
+    "find-magic-field": (["--molecule", "--pair"], ["--pol", "--range", "--nu", "--jmax", "--scan-points"]),
+    "magic-angle": (["--molecule"], ["--pair", "--nu", "--range", "--steps", "--jmax"]),
+    "lattice": ([], ["--nu", "--f-mot", "--ratio"]),
+    "convergence": (["--molecule"], ["--field", "--states", "--jmax", "--tol"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional = _OPTIONS[cmd]
+    # mostly valid: each required option is present, and each value valid,
+    # nine times in ten
+    opts = [o for o in required if draw(st.integers(0, 9))]
+    opts += draw(st.lists(st.sampled_from(optional), unique=True))
+    argv = [cmd]
+    for opt in opts:
+        valid, invalid = _VALUES[opt]
+        # "--opt=value", so that a value such as -1:5 reaches the option's parser
+        argv.append(f"{opt}={draw(st.sampled_from(valid if draw(st.integers(0, 9)) or not invalid else invalid))}")
+    return argv + ["--no-meta"]
+
+
+def _nan_cells(cmd, out):
+    """Cells of a successful run that read nan; magic-angle may print one per field."""
+    if cmd == "lattice":
+        constants = []
+        json.loads(out, parse_constant=constants.append)
+        return [c for c in constants if c == "NaN"]
+    header, rows = parse_csv(out)
+    keep = [i for i, h in enumerate(header) if not (cmd == "magic-angle" and h.startswith("crossing_theta"))]
+    return [row[i] for row in rows for i in keep if row[i].lower() == "nan"]
+
+
+@given(_argvs())
+@example(["polar", "--molecule", "KRb", "--states", "0,0", "--pol", "theta:nan", "--no-meta"])
+@example(["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0",
+          "--pol", "theta:nan", "--no-meta"])
+@example(["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--pol", "theta:nan", "--no-meta"])
+@example(["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--pol", "theta:inf", "--no-meta"])
+@example(["find-magic-field", "--molecule", "RbCs", "--pair", "3,0:1,1,+", "--nu", "8800", "--pol", "sigma-",
+          "--range", "0:1e100", "--jmax", "4", "--no-meta"])
+@example(["eigen", "--molecule", "KRb", "--states", "0,0", "--jmax", "201", "--no-meta"])
+@settings(max_examples=300, deadline=None)
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    else:
+        assert _nan_cells(argv[0], out.getvalue()) == []
 
 
 def test_import_does_not_load_scipy():

@@ -153,6 +153,17 @@ def test_root_on_a_scan_node_is_reported_once():
         assert reps[0].e_star_kv_cm == pytest.approx(e_star, rel=1e-9)
 
 
+@pytest.mark.parametrize("mol", [KRB, RBCS], ids=lambda m: m.name)
+def test_tangent_zero_on_first_node_at_every_nu(mol):
+    # (1,0) and (1,1,+) share J = 1 at E = 0, so under x light the curves
+    # touch there; the first node's difference is rounding noise of either sign
+    pair = (StateLabel(1, 0), StateLabel(1, 1, "+"))
+    x = PolarizationVector.x()
+    for nu in np.linspace(mol.nu_grid[0], mol.nu_grid[-1], 101):
+        reps = find_magic_fields(mol, pair, x, e_range=(0.0, 15.0), nu_cm=float(nu))
+        assert [r.e_star_kv_cm for r in reps] == [0.0]
+
+
 def test_scan_points_floor():
     with pytest.raises(ValueError):
         find_magic_fields(KRB, GROUND_PAIR, Z, scan_points=1)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magictrap.angular import c_tensor_element
 from magictrap.stark import (
     StateLabel,
     alignment,
-    build_block,
     check_convergence,
-    diagonalize,
     dressed_c20,
     dressed_c22_coherence,
     dressed_moments,
@@ -46,43 +45,59 @@ def test_state_label_validation():
         StateLabel.parse("1,1,*")
 
 
-def test_block_structure_field_free():
-    blk = build_block(KRB, 0.0, 0, j_max=6)
-    h = blk.h
-    assert h.shape == (7, 7)
+def hamiltonian(spec, e, m, j_max):
+    """The M block in MHz, assembled here from angular.c_tensor_element."""
+    js = range(abs(m), j_max + 1)
+    de = spec.d00_debye * e * DEBYE_KVCM_TO_MHZ
+    return np.array([
+        [spec.b_mhz * j * (j + 1) * (j == jp) - de * c_tensor_element(1, 0, j, m, jp, m) for jp in js]
+        for j in js
+    ])
+
+
+def test_solve_structure_field_free():
+    h = hamiltonian(KRB, 0.0, 0, 6)
     js = np.arange(0, 7)
     assert np.allclose(h, np.diag(KRB.b_mhz * js * (js + 1)))
+    sys = solve(KRB, 0.0, 0, j_max=6)
+    assert sys.energies.shape == (7,) and sys.u.shape == (7, 7)
+    assert np.allclose(sys.energies, np.diag(h), rtol=1e-14)
 
 
-def test_block_coupling_entry():
+def test_solve_coupling_entry():
     # <0 0|C_10|1 0> = 1/sqrt(3); off-diagonal is -d E <C_10> in MHz
     e = 5.0
-    blk = build_block(KRB, e, 0, j_max=6)
+    h = hamiltonian(KRB, e, 0, 6)
     de = KRB.d00_debye * e * DEBYE_KVCM_TO_MHZ
-    assert blk.h[0, 1] == pytest.approx(-de / math.sqrt(3), rel=1e-14)
-    assert blk.h[1, 0] == blk.h[0, 1]
+    assert h[0, 1] == pytest.approx(-de / math.sqrt(3), rel=1e-14)
+    assert h[1, 0] == h[0, 1]
     # tridiagonal: C_10 only couples J to J +- 1
-    assert blk.h[0, 2] == 0.0
-    assert blk.h[0, 3] == 0.0
+    assert h[0, 2] == 0.0
+    assert h[0, 3] == 0.0
+    sys = solve(KRB, e, 0, j_max=6)
+    assert sys.de_mhz == pytest.approx(de, rel=1e-15)
+    recon = sys.u @ h @ sys.u.T
+    assert np.max(np.abs(recon - np.diag(sys.energies))) < 1e-9 * np.max(np.abs(sys.energies))
 
 
-def test_block_m_offset():
-    blk = build_block(KRB, 5.0, 2, j_max=8)
-    assert blk.h.shape == (7, 7)           # J runs 2..8
-    assert list(blk.j_values) == list(range(2, 9))
+def test_solve_m_offset():
+    sys = solve(KRB, 5.0, 2, j_max=8)
+    assert sys.energies.shape == (7,)       # J runs 2..8
+    assert list(sys.j_values) == list(range(2, 9))
 
 
-def test_block_validation():
+def test_solve_validation():
     with pytest.raises(ValueError):
-        build_block(KRB, 5.0, 2, j_max=4)  # below the |m| + 3 floor
+        solve(KRB, 5.0, 2, j_max=4)  # below the |m| + 3 floor
     with pytest.raises(ValueError):
-        build_block(KRB, -1.0, 0)
+        solve(KRB, -1.0, 0)
 
 
-def test_trace_is_field_independent():
+def test_energy_sum_is_field_independent():
+    # the sum of the eigenvalues is the trace of H, which the field leaves alone
     for m in (0, 1, 2):
-        t0 = np.trace(build_block(KRB, 0.0, m, j_max=10).h)
-        t1 = np.trace(build_block(KRB, 12.0, m, j_max=10).h)
+        t0 = np.sum(solve(KRB, 0.0, m, j_max=10).energies)
+        t1 = np.sum(solve(KRB, 12.0, m, j_max=10).energies)
         assert t1 == pytest.approx(t0, rel=1e-15)
 
 
@@ -238,7 +253,7 @@ def test_eigensystem_properties_random_field(beta, m):
     assert np.max(np.abs(sys.u @ sys.u.T - np.eye(n))) < 1e-12
     assert np.all(np.diff(sys.energies) >= -1e-9 * KRB.b_mhz)
     # reconstructed H eigenvalue identity
-    h = build_block(KRB, e, m, j_max=10).h
+    h = hamiltonian(KRB, e, m, 10)
     recon = sys.u @ h @ sys.u.T
     assert np.max(np.abs(np.diag(recon) - sys.energies)) < 1e-9 * max(
         1.0, np.max(np.abs(sys.energies))
