@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -52,6 +53,33 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError, and reads ``--opt -10:10`` as ``--opt=-10:10``.
+
+    argparse takes a token such as ``-10:10`` or ``-1,0`` for an option of
+    its own, so a value-taking option followed by one fails with "expected
+    one argument". Each parser records its value-taking options, and a token
+    after one of them that starts with "-" and a digit or "." is joined to it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.value_options = set()   # filled by add_argument, which __init__ calls for --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs != 0:
+            self.value_options.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in self.value_options and re.match(r"-[\d.]", token):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -174,18 +202,16 @@ def _expand_branches(labels):
     return out
 
 
-def _common_meta(args, molecule: MoleculeSpec | None = None) -> dict:
-    meta = {
+def _render(args, mol: MoleculeSpec, columns, **meta) -> str:
+    """The table in --format; its metadata starts with the command line and the molecule."""
+    head = {
         "command": "magictrap " + shlex.join(args.raw_argv),
         "version": __version__,
+        "molecule": mol.name,
+        "B_MHz": f"{mol.b_mhz:.12g}",
+        "d00_debye": f"{mol.d00_debye:.12g}",
     }
-    if molecule is not None:
-        meta.update(
-            molecule=molecule.name,
-            B_MHz=f"{molecule.b_mhz:.12g}",
-            d00_debye=f"{molecule.d00_debye:.12g}",
-        )
-    return meta
+    return ResultTable(columns, {**head, **meta}).render(args.format, include_meta=not args.no_meta)
 
 
 def _emit(args, text: str) -> None:
@@ -202,24 +228,15 @@ def _emit(args, text: str) -> None:
 
 def _cmd_eigen(args) -> str:
     mol = load_molecule(args.molecule)
-    table = ResultTable(
-        columns=[
-            Column("state", "1"),
-            Column("E", "MHz"),
-            Column("alignment_cos2", "1"),
-        ]
-    )
-    table.meta.update(_common_meta(args, mol))
-    table.meta.update(
-        E_dc_kv_cm=f"{args.field:.12g}",
-        beta=f"{mol.beta(args.field):.12g}",
-        j_max=str(args.jmax),
-    )
-    systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in args.states}}
-    for lb in args.states:
-        sys_m = systems[abs(lb.m)]
-        table.add_row(str(lb), sys_m.energy(lb.j_tilde), stark.alignment(sys_m, lb.j_tilde))
-    return table.render(args.format, include_meta=not args.no_meta)
+    labels = args.states
+    systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in labels}}
+    columns = [
+        Column("state", "1", [str(lb) for lb in labels]),
+        Column("E", "MHz", [systems[abs(lb.m)].energy(lb.j_tilde) for lb in labels]),
+        Column("alignment_cos2", "1", [stark.alignment(systems[abs(lb.m)], lb.j_tilde) for lb in labels]),
+    ]
+    return _render(args, mol, columns, E_dc_kv_cm=f"{args.field:.12g}", beta=f"{mol.beta(args.field):.12g}",
+                   j_max=str(args.jmax))
 
 
 def _cmd_polar(args) -> str:
@@ -227,19 +244,20 @@ def _cmd_polar(args) -> str:
     pol = PolarizationVector.parse(args.pol)
     a_par, a_perp = alpha_lambda_at(mol, args.nu)
     labels = _expand_branches(args.states)
-    table = ResultTable(
-        columns=[
-            Column("state", "1"),
-            Column("alpha_xx", "a.u."),
-            Column("alpha_yy", "a.u."),
-            Column("alpha_zz", "a.u."),
-            Column("alpha_eff", "a.u."),
-            Column("dE", "MHz"),
-            Column("degenerate", "1"),
-        ]
-    )
-    table.meta.update(_common_meta(args, mol))
-    table.meta.update(
+    systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in labels}}
+    tensors = [alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, pol) for lb in labels]
+    shifts = [stark_shift(tens, pol, args.intensity) for tens in tensors]
+    columns = [
+        Column("state", "1", [str(lb) for lb in labels]),
+        Column("alpha_xx", "a.u.", [t.xx for t in tensors]),
+        Column("alpha_yy", "a.u.", [t.yy for t in tensors]),
+        Column("alpha_zz", "a.u.", [t.zz for t in tensors]),
+        Column("alpha_eff", "a.u.", [sh.alpha_eff_au for sh in shifts]),
+        Column("dE", "MHz", [sh.delta_e_mhz for sh in shifts]),
+        Column("degenerate", "1", [t.degenerate for t in tensors]),
+    ]
+    return _render(
+        args, mol, columns,
         E_dc_kv_cm=f"{args.field:.12g}",
         nu_cm=f"{args.nu:.12g}",
         alpha_par_au=f"{a_par:.12g}",
@@ -248,15 +266,6 @@ def _cmd_polar(args) -> str:
         intensity_w_cm2=f"{args.intensity:.12g}",
         j_max=str(args.jmax),
     )
-    systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in labels}}
-    for lb in labels:
-        tens = alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, pol)
-        shift = stark_shift(tens, pol, args.intensity)
-        table.add_row(
-            str(lb), tens.xx, tens.yy, tens.zz,
-            shift.alpha_eff_au, shift.delta_e_mhz, tens.degenerate,
-        )
-    return table.render(args.format, include_meta=not args.no_meta)
 
 
 def _cmd_sweep(args) -> str:
@@ -276,66 +285,51 @@ def _cmd_sweep(args) -> str:
         j_max=args.jmax,
     )
     table = sweep(grid, _expand_branches(args.states), intensity_w_cm2=args.intensity)
-    meta = _common_meta(args, mol)
-    meta.update(table.meta)
-    meta["polarization"] = args.pol
-    table.meta = meta
-    return table.render(args.format, include_meta=not args.no_meta)
+    return _render(args, mol, table.columns, **{**table.meta, "polarization": args.pol})
 
 
 def _cmd_find_magic_field(args) -> str:
     mol = load_molecule(args.molecule)
-    pol = PolarizationVector.parse(args.pol)
-    pair = args.pair
     reports = find_magic_fields(
-        mol, pair, pol,
+        mol, args.pair, PolarizationVector.parse(args.pol),
         e_range=args.range, nu_cm=args.nu, j_max=args.jmax,
         scan_points=args.scan_points,
     )
-    table = ResultTable(
-        columns=[
-            Column("E_star", "kV/cm"),
-            Column("beta_star", "1"),
-            Column("alpha_eff_at_root", "a.u."),
-            Column("alpha_diff_at_root", "a.u."),
-            Column("bracket_lo", "kV/cm"),
-            Column("bracket_hi", "kV/cm"),
-            Column("achieved_tol", "kV/cm"),
-        ]
-    )
-    table.meta.update(_common_meta(args, mol))
-    table.meta.update(
-        pair=f"{pair[0]}:{pair[1]}",
+    columns = [
+        Column("E_star", "kV/cm", [r.e_star_kv_cm for r in reports]),
+        Column("beta_star", "1", [r.beta_star for r in reports]),
+        Column("alpha_eff_at_root", "a.u.", [r.alpha_eff_at_root for r in reports]),
+        Column("alpha_diff_at_root", "a.u.", [r.alpha_diff_at_root for r in reports]),
+        Column("bracket_lo", "kV/cm", [r.bracket[0] for r in reports]),
+        Column("bracket_hi", "kV/cm", [r.bracket[1] for r in reports]),
+        Column("achieved_tol", "kV/cm", [r.achieved_tol for r in reports]),
+    ]
+    return _render(
+        args, mol, columns,
+        pair=f"{args.pair[0]}:{args.pair[1]}",
         polarization=args.pol,
         nu_cm=f"{args.nu:.12g}",
         range=f"{args.range[0]:.12g}:{args.range[1]:.12g}",
         j_max=str(args.jmax),
     )
-    for rep in reports:
-        table.add_row(
-            rep.e_star_kv_cm, rep.beta_star, rep.alpha_eff_at_root,
-            rep.alpha_diff_at_root, rep.bracket[0], rep.bracket[1], rep.achieved_tol,
-        )
-    return table.render(args.format, include_meta=not args.no_meta)
 
 
 def _cmd_magic_angle(args) -> str:
     mol = load_molecule(args.molecule)
-    lo, hi = args.range
-    e_grid = np.linspace(lo, hi, args.steps)
+    e_grid = np.linspace(*args.range, args.steps)
     report = magic_angle(args.pair, mol, e_grid_kv_cm=e_grid, nu_cm=args.nu, j_max=args.jmax)
-    table = ResultTable(
-        columns=[
-            Column("E_dc", "kV/cm"),
-            Column("crossing_theta", "deg"),
-            Column("theta0", "deg"),
-            Column("alpha_spread_at_theta0", "a.u."),
-            Column("no_common_angle", "1"),
-            Column("degenerate", "1"),
-        ]
-    )
-    table.meta.update(_common_meta(args, mol))
-    table.meta.update(
+    fields, angles = zip(*report.crossings)
+    n = len(fields)
+    columns = [
+        Column("E_dc", "kV/cm", fields),
+        Column("crossing_theta", "deg", [math.nan if a is None else a for a in angles]),
+        Column("theta0", "deg", [report.theta0_deg] * n),
+        Column("alpha_spread_at_theta0", "a.u.", [report.spread_au] * n),
+        Column("no_common_angle", "1", [report.no_common_angle] * n),
+        Column("degenerate", "1", [report.degenerate] * n),
+    ]
+    return _render(
+        args, mol, columns,
         pair=f"{args.pair[0]}:{args.pair[1]}",
         nu_cm=f"{args.nu:.12g}",
         theta0_deg=f"{report.theta0_deg:.12g}",
@@ -343,24 +337,13 @@ def _cmd_magic_angle(args) -> str:
         abar_au=f"{report.abar_au:.12g}",
         j_max=str(args.jmax),
     )
-    for e_dc, angle in report.crossings:
-        table.add_row(
-            e_dc,
-            float("nan") if angle is None else angle,
-            report.theta0_deg,
-            report.spread_au,
-            report.no_common_angle,
-            report.degenerate,
-        )
-    return table.render(args.format, include_meta=not args.no_meta)
 
 
 def _cmd_lattice(args) -> str:
     if args.format == "csv":
         raise UsageError("the lattice plan is emitted as JSON only; use --format json")
-    nu_a_hz = args.nu * CM1_TO_MHZ * 1e6
     plan = plan_paper_lattice(
-        nu_a_hz=nu_a_hz,
+        nu_a_hz=args.nu * CM1_TO_MHZ * 1e6,
         delta_b_hz=args.delta_b * 1e6,
         delta_c_hz=args.delta_c * 1e6,
         f_mot_hz=args.f_mot * 1e3,
@@ -371,24 +354,15 @@ def _cmd_lattice(args) -> str:
 
 def _cmd_convergence(args) -> str:
     mol = load_molecule(args.molecule)
-    table = ResultTable(
-        columns=[
-            Column("state", "1"),
-            Column("rel_change", "1"),
-            Column("converged", "1"),
-        ]
-    )
-    table.meta.update(_common_meta(args, mol))
-    table.meta.update(
-        E_dc_kv_cm=f"{args.field:.12g}",
-        j_max=str(args.jmax),
-        j_max_ref=str(args.jmax + 4),
-        tol=f"{args.tol:.12g}",
-    )
-    for lb in args.states:
-        rel = stark.check_convergence(mol, args.field, abs(lb.m), lb.j_tilde, args.jmax)
-        table.add_row(str(lb), rel, rel < args.tol)
-    return table.render(args.format, include_meta=not args.no_meta)
+    rel = np.array([stark.check_convergence(mol, args.field, abs(lb.m), lb.j_tilde, args.jmax)
+                    for lb in args.states])
+    columns = [
+        Column("state", "1", [str(lb) for lb in args.states]),
+        Column("rel_change", "1", rel),
+        Column("converged", "1", rel < args.tol),
+    ]
+    return _render(args, mol, columns, E_dc_kv_cm=f"{args.field:.12g}", j_max=str(args.jmax),
+                   j_max_ref=str(args.jmax + 4), tol=f"{args.tol:.12g}")
 
 
 # ------------------------------------------------------------ parser setup

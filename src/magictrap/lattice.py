@@ -190,4 +190,5 @@ def plan_to_json(plan: LatticePlan, indent: int = 1) -> str:
         ],
         "violations": validate_plan(plan),
     }
-    return json.dumps(doc, indent=indent)
+    # allow_nan=False: a frequency that overflowed to inf is an error, not "Infinity"
+    return json.dumps(doc, indent=indent, allow_nan=False)

@@ -72,7 +72,7 @@ class RefinementError(RuntimeError):
     """Brent refinement of a bracketed sign change did not converge."""
 
 
-_VARIABLES = {"E_dc": ("E_dc", "kV/cm"), "theta": ("theta", "deg"), "nu": ("nu", "cm^-1")}
+_VARIABLES = {"E_dc": "kV/cm", "theta": "deg", "nu": "cm^-1"}   # sweep variable -> unit
 
 
 @dataclass(frozen=True)
@@ -139,41 +139,29 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
     if intensity_w_cm2 < 0:
         raise ValueError("intensity must be >= 0")
     labels = list(states)
-    var_name, var_unit = _VARIABLES[grid.variable]
-    columns = [Column(var_name, var_unit)]
-    for lb in labels:
-        columns.append(Column(f"alpha_eff({lb})", "a.u."))
-        columns.append(Column(f"dE({lb})", "MHz"))
-    table = ResultTable(columns=columns)
-    table.meta.update(
-        molecule=grid.molecule.name,
-        variable=grid.variable,
-        intensity_w_cm2=f"{intensity_w_cm2:.12g}",
-        j_max=str(grid.j_max),
-    )
-
     mol, x = grid.molecule, grid.values
+    meta = dict(molecule=mol.name, variable=grid.variable, intensity_w_cm2=f"{intensity_w_cm2:.12g}",
+                j_max=str(grid.j_max))
     pol = grid.polarization or PolarizationVector.z()
     if grid.variable == "theta":
         a_par, a_perp = alpha_lambda_at(mol, grid.nu_cm)
         alphas = _alpha_effs_theta(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, x, grid.j_max)
-        table.meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", nu_cm=f"{grid.nu_cm:.12g}")
+        meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", nu_cm=f"{grid.nu_cm:.12g}")
     elif grid.variable == "E_dc":
         a_par, a_perp = alpha_lambda_at(mol, grid.nu_cm)
         alphas = _alpha_effs(mol, labels, x, a_par, a_perp, pol, grid.j_max)
-        table.meta.update(nu_cm=f"{grid.nu_cm:.12g}", polarization=str(pol))
+        meta.update(nu_cm=f"{grid.nu_cm:.12g}", polarization=str(pol))
     else:
         # nu sweep: the dressing is nu-independent, only the alpha table moves
         a_par, a_perp = np.array([alpha_lambda_at(mol, nu) for nu in x]).T
         alphas = _alpha_effs(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, pol, grid.j_max)
-        table.meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", polarization=str(pol))
+        meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", polarization=str(pol))
 
-    cells = [x]
-    for a in alphas:
-        cells += [a, -a * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2]
-    for row in zip(*(c.tolist() for c in cells)):
-        table.add_row(*row)
-    return table
+    columns = [Column(grid.variable, _VARIABLES[grid.variable], x)]
+    for lb, a in zip(labels, alphas):
+        columns.append(Column(f"alpha_eff({lb})", "a.u.", a))
+        columns.append(Column(f"dE({lb})", "MHz", -a * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2))
+    return ResultTable(columns, meta)
 
 
 _FIG_STATES = (
@@ -182,6 +170,16 @@ _FIG_STATES = (
     StateLabel(1, 1, "+"),
     StateLabel(1, 1, "-"),
 )
+
+
+def _long_table(axes, values, meta) -> ResultTable:
+    """Long-format table of alpha_eff ``values`` over a grid, last axis fastest.
+
+    ``axes`` holds one (name, unit, coordinates) triple per axis of ``values``.
+    """
+    grids = np.meshgrid(*(np.asarray(coords) for _, _, coords in axes), indexing="ij")
+    columns = [Column(name, unit, grid.ravel()) for (name, unit, _), grid in zip(axes, grids)]
+    return ResultTable(columns + [Column("alpha_eff", "a.u.", np.ravel(values))], meta)
 
 
 def emit_figure_data(figure: str, molecule, nu_cm: float = 9174.0, j_max: int = 10) -> ResultTable:
@@ -202,72 +200,29 @@ def emit_figure_data(figure: str, molecule, nu_cm: float = 9174.0, j_max: int = 
         "j_max": str(j_max),
         "version": __version__,
     }
-    names = [str(lb) for lb in _FIG_STATES]
+    states = ("state", "1", [str(lb) for lb in _FIG_STATES])
 
     if figure == "fig2":
-        table = ResultTable(
-            columns=[
-                Column("E_dc", "kV/cm"),
-                Column("polarization", "1"),
-                Column("state", "1"),
-                Column("alpha_eff", "a.u."),
-            ],
-            meta=meta,
-        )
         fields = np.linspace(0.0, 15.0, 61)
-        panels = [
-            (pol_name, np.array(_alpha_effs(mol, _FIG_STATES, fields, a_par, a_perp, pol, j_max)).T.tolist())
-            for pol_name, pol in (("z", PolarizationVector.z()), ("x", PolarizationVector.x()))
-        ]
-        for i, e_dc in enumerate(fields.tolist()):
-            for pol_name, alphas in panels:
-                for name, a in zip(names, alphas[i]):
-                    table.add_row(e_dc, pol_name, name, a)
-        return table
+        pols = {"z": PolarizationVector.z(), "x": PolarizationVector.x()}
+        # axes (polarization, state, field), laid out as (field, polarization, state)
+        alphas = np.array([_alpha_effs(mol, _FIG_STATES, fields, a_par, a_perp, pol, j_max) for pol in pols.values()])
+        axes = [("E_dc", "kV/cm", fields), ("polarization", "1", list(pols)), states]
+        return _long_table(axes, alphas.transpose(2, 0, 1), meta)
 
     if figure == "fig3":
-        table = ResultTable(
-            columns=[
-                Column("E_dc", "kV/cm"),
-                Column("theta", "deg"),
-                Column("alpha_eff", "a.u."),
-            ],
-            meta=meta,
-        )
         fields = np.linspace(0.0, 6.0, 61)
         thetas = np.linspace(0.0, 90.0, 46)
         (alphas,) = _alpha_effs_theta(mol, _FIG_STATES[:1], fields, a_par, a_perp, thetas, j_max)
-        for e_dc, row in zip(fields.tolist(), alphas.tolist()):
-            for th, a in zip(thetas.tolist(), row):
-                table.add_row(e_dc, th, a)
-        return table
+        return _long_table([("E_dc", "kV/cm", fields), ("theta", "deg", thetas)], alphas, meta)
 
     if figure == "fig4":
-        name = mol.name.lower()
-        if name == "krb":
-            fields = [0.6 * k for k in range(1, 11)]
-        elif name == "rbcs":
-            fields = [0.3 * k for k in range(1, 11)]
-        else:
-            base = mol.field_for_beta(0.15)
-            fields = [base * k for k in range(1, 11)]
-        table = ResultTable(
-            columns=[
-                Column("E_dc", "kV/cm"),
-                Column("theta", "deg"),
-                Column("state", "1"),
-                Column("alpha_eff", "a.u."),
-            ],
-            meta=meta,
-        )
+        step = {"krb": 0.6, "rbcs": 0.3}.get(mol.name.lower()) or mol.field_for_beta(0.15)
+        fields = step * np.arange(1, 11)
         thetas = np.linspace(0.0, 90.0, 91)
         # axes (field, theta, state)
         alphas = np.stack(_alpha_effs_theta(mol, _FIG_STATES, fields, a_par, a_perp, thetas, j_max), axis=-1)
-        for e_dc, per_theta in zip(fields, alphas.tolist()):
-            for th, per_state in zip(thetas.tolist(), per_theta):
-                for name, a in zip(names, per_state):
-                    table.add_row(e_dc, th, name, a)
-        return table
+        return _long_table([("E_dc", "kV/cm", fields), ("theta", "deg", thetas), states], alphas, meta)
 
     raise ValueError(f"unknown figure {figure!r}; expected fig2, fig3 or fig4")
 

@@ -1,8 +1,15 @@
 """Result tables with unit-tagged columns and reproducible float formatting.
 
+A ``ResultTable`` is a list of equal-length ``Column``s, each holding one
+value per row: a numpy array or a list of numbers, bools or strings.
+Producers hand over the arrays they computed; rows exist only when the
+table is written (and as the read-only ``rows`` view).
+
 Every emitted number uses 12 significant digits, switching to scientific
-notation for |x| < 1e-3 or |x| >= 1e6. Identical inputs therefore yield
-byte-identical CSV/JSON, which the tests rely on for diffing.
+notation for |x| < 1e-3 or |x| >= 1e6; strings pass through verbatim.
+Identical inputs therefore yield byte-identical CSV/JSON, which the tests
+rely on for diffing. JSON writes a non-finite number as ``null`` where CSV
+writes ``nan`` or ``inf``, so that the JSON stays valid (RFC 8259).
 """
 
 from __future__ import annotations
@@ -29,31 +36,50 @@ def fmt_float(x) -> str:
     return f"{v:.12g}"
 
 
+def _json_number(x):
+    # round-trip through the canonical string so JSON carries the same
+    # 12-significant-digit values as CSV
+    v = float(fmt_float(x))
+    return v if math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
     unit: str   # "1" for dimensionless
+    values: object   # one value per row: an array or a sequence
 
     @property
     def header(self) -> str:
         return f"{self.name}[{self.unit}]"
 
+    @property
+    def cells(self) -> list:
+        """The values as Python scalars (numpy arrays via ``tolist``)."""
+        values = self.values
+        return values.tolist() if hasattr(values, "tolist") else list(values)
+
+    def csv_cells(self) -> list:
+        return [v if isinstance(v, str) else fmt_float(v) for v in self.cells]
+
+    def json_cells(self) -> list:
+        return [v if isinstance(v, str) else _json_number(v) for v in self.cells]
+
 
 @dataclass
 class ResultTable:
     columns: list
-    rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add_row(self, *cells):
-        if len(cells) != len(self.columns):
-            raise ValueError(f"expected {len(self.columns)} cells, got {len(cells)}")
-        self.rows.append(list(cells))
+    def __post_init__(self):
+        lengths = {col.name: len(col.values) for col in self.columns}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
 
-    def _format_cell(self, cell):
-        if isinstance(cell, str):
-            return cell
-        return fmt_float(cell)
+    @property
+    def rows(self) -> list:
+        """Read-only view: one tuple of Python values per row."""
+        return list(zip(*(col.cells for col in self.columns)))
 
     def to_csv(self, include_meta: bool = True) -> str:
         buf = io.StringIO()
@@ -62,25 +88,17 @@ class ResultTable:
                 buf.write(f"# {key} = {value}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(col.header for col in self.columns)
-        for row in self.rows:
-            writer.writerow(self._format_cell(c) for c in row)
+        writer.writerows(zip(*(col.csv_cells() for col in self.columns)))
         return buf.getvalue()
 
     def to_json(self, include_meta: bool = True) -> str:
-        def cell_value(cell):
-            if isinstance(cell, str):
-                return cell
-            # round-trip through the canonical string so JSON carries the
-            # same 12-significant-digit values as CSV
-            return float(fmt_float(cell))
-
         doc = {
             "columns": [{"name": c.name, "unit": c.unit} for c in self.columns],
-            "rows": [[cell_value(c) for c in row] for row in self.rows],
+            "rows": list(zip(*(col.json_cells() for col in self.columns))),
         }
         if include_meta:
             doc = {"meta": dict(self.meta), **doc}
-        return json.dumps(doc, indent=1)
+        return json.dumps(doc, indent=1, allow_nan=False)
 
     def render(self, fmt: str, include_meta: bool = True) -> str:
         if fmt == "csv":

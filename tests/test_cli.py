@@ -172,6 +172,7 @@ def test_convergence_flags_edge_state(capsys):
         ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range=-1:5", "--states", "0,0"],
         ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0", "--intensity=-2"],
         ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range=-1:15"],
+        ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range", "-1:15"],
         ["magic-angle", "--molecule", "KRb", "--range=-1:6"],
         ["convergence", "--molecule", "KRb", "--field=-1"],
         ["convergence", "--molecule", "KRb", "--tol=-1"],
@@ -195,6 +196,17 @@ def test_usage_errors_exit_1(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_negative_value_after_an_option(capsys):
+    argv = ["sweep", "--molecule", "KRb", "--var", "theta", "--steps", "3", "--states", "0,0", "--no-meta"]
+    spaced = invoke(capsys, *argv, "--range", "-10:10")
+    assert spaced == invoke(capsys, *argv, "--range=-10:10")
+    assert spaced[0] == 0 and spaced[1].splitlines()[1].startswith("-10,")
+    code, _, err = invoke(capsys, "sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "-1:5", "--states", "0,0")
+    assert code == 1 and "fields must be >= 0" in err
+    code, _, err = invoke(capsys, "eigen", "--molecule", "KRb", "--states", "-1,0")
+    assert code == 1 and "J_tilde >= |M|" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -205,6 +217,8 @@ def test_usage_errors_exit_1(capsys, argv):
          "--pol", "theta:54.735610317245346"],
         # lattice hierarchy violation
         ["lattice", "--delta-b", "80", "--delta-c", "80"],
+        # beam frequency overflows to inf in Hz, which JSON cannot carry
+        ["lattice", "--nu", "1e308"],
         # missing molecule file
         ["eigen", "--molecule", "/nonexistent/path.molecule", "--states", "0,0"],
         # nu outside the tabulated range
@@ -239,17 +253,19 @@ _VALUES = {
     "--tol": (["1e-8"], ["0"]),
     "--ratio": (["100"], ["-5"]),
     "--f-mot": (["25"], ["0"]),
+    "--format": (["csv", "json"], ["xml"]),
 }
 # (required, optional) options of each subcommand
 _OPTIONS = {
-    "eigen": (["--molecule", "--states"], ["--field", "--jmax"]),
-    "polar": (["--molecule", "--states"], ["--field", "--nu", "--pol", "--jmax", "--intensity"]),
+    "eigen": (["--molecule", "--states"], ["--field", "--jmax", "--format"]),
+    "polar": (["--molecule", "--states"], ["--field", "--nu", "--pol", "--jmax", "--intensity", "--format"]),
     "sweep": (["--molecule", "--states", "--var", "--range"],
-              ["--steps", "--field", "--nu", "--pol", "--jmax", "--intensity"]),
-    "find-magic-field": (["--molecule", "--pair"], ["--pol", "--range", "--nu", "--jmax", "--scan-points"]),
-    "magic-angle": (["--molecule"], ["--pair", "--nu", "--range", "--steps", "--jmax"]),
-    "lattice": ([], ["--nu", "--f-mot", "--ratio"]),
-    "convergence": (["--molecule"], ["--field", "--states", "--jmax", "--tol"]),
+              ["--steps", "--field", "--nu", "--pol", "--jmax", "--intensity", "--format"]),
+    "find-magic-field": (["--molecule", "--pair"],
+                         ["--pol", "--range", "--nu", "--jmax", "--scan-points", "--format"]),
+    "magic-angle": (["--molecule"], ["--pair", "--nu", "--range", "--steps", "--jmax", "--format"]),
+    "lattice": ([], ["--nu", "--f-mot", "--ratio", "--format"]),
+    "convergence": (["--molecule"], ["--field", "--states", "--jmax", "--tol", "--format"]),
 }
 
 
@@ -264,18 +280,35 @@ def _argvs(draw):
     argv = [cmd]
     for opt in opts:
         valid, invalid = _VALUES[opt]
-        # "--opt=value", so that a value such as -1:5 reaches the option's parser
-        argv.append(f"{opt}={draw(st.sampled_from(valid if draw(st.integers(0, 9)) or not invalid else invalid))}")
+        value = draw(st.sampled_from(valid if draw(st.integers(0, 9)) or not invalid else invalid))
+        # both "--opt value" and "--opt=value"; a value such as -1:5 must reach the option's parser either way
+        argv += draw(st.sampled_from([[opt, value], [f"{opt}={value}"]]))
     return argv + ["--no-meta"]
 
 
-def _nan_cells(cmd, out):
-    """Cells of a successful run that read nan; magic-angle may print one per field."""
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 does not allow."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _nan_cells(argv, out):
+    """Cells of a successful run that read nan (CSV) or null (JSON).
+
+    magic-angle may print one per field in crossing_theta. JSON holding a
+    NaN or Infinity constant fails to parse.
+    """
+    cmd = argv[0]
     if cmd == "lattice":
-        constants = []
-        json.loads(out, parse_constant=constants.append)
-        return [c for c in constants if c == "NaN"]
-    header, rows = parse_csv(out)
+        _strict_json(out)
+        return []
+    if "json" in argv or "--format=json" in argv:
+        doc = _strict_json(out)
+        header = [f"{c['name']}[{c['unit']}]" for c in doc["columns"]]
+        rows = [["nan" if c is None else str(c) for c in row] for row in doc["rows"]]
+    else:
+        header, rows = parse_csv(out)
     keep = [i for i, h in enumerate(header) if not (cmd == "magic-angle" and h.startswith("crossing_theta"))]
     return [row[i] for row in rows for i in keep if row[i].lower() == "nan"]
 
@@ -289,6 +322,9 @@ def _nan_cells(cmd, out):
 @example(["find-magic-field", "--molecule", "RbCs", "--pair", "3,0:1,1,+", "--nu", "8800", "--pol", "sigma-",
           "--range", "0:1e100", "--jmax", "4", "--no-meta"])
 @example(["eigen", "--molecule", "KRb", "--states", "0,0", "--jmax", "201", "--no-meta"])
+@example(["magic-angle", "--molecule", "KRb", "--pair", "0,0:1,1,+", "--format", "json", "--no-meta"])
+@example(["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "-1:5", "--states", "0,0", "--no-meta"])
+@example(["lattice", "--nu", "1e308", "--no-meta"])
 @settings(max_examples=300, deadline=None)
 def test_cli_contract(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -299,7 +335,7 @@ def test_cli_contract(argv):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
     else:
-        assert _nan_cells(argv[0], out.getvalue()) == []
+        assert _nan_cells(argv, out.getvalue()) == []
 
 
 def test_import_does_not_load_scipy():
@@ -357,6 +393,17 @@ def test_meta_records_command_line(capsys):
     meta_lines = [l for l in out.splitlines() if l.startswith("#")]
     assert any("magictrap eigen" in l for l in meta_lines)
     assert any("molecule" in l for l in meta_lines)
+
+
+def test_json_writes_null_for_nan(capsys):
+    # the ground state and the + branch never cross: crossing_theta is nan at every field
+    argv = ["magic-angle", "--molecule", "KRb", "--pair", "0,0:1,1,+", "--no-meta"]
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = _strict_json(out)
+    _, csv_rows = parse_csv(invoke(capsys, *argv)[1])
+    assert [r[1] for r in csv_rows] == ["nan"] * len(csv_rows)
+    assert [r[1] for r in doc["rows"]] == [None] * len(csv_rows)
 
 
 def test_json_format(capsys):

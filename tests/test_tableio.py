@@ -1,0 +1,104 @@
+"""Result tables: the float format, the column model and the CSV/JSON writers."""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from magictrap.tableio import Column, ResultTable, fmt_float
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (0, "0"),
+        (0.0, "0"),
+        (-0.0, "0"),
+        (1e-3, "0.001"),
+        (9.99e-4, "9.99000000000e-04"),
+        (-1e-3, "-0.001"),
+        (1e6, "1.00000000000e+06"),
+        (999999.9, "999999.9"),
+        (-1e6, "-1.00000000000e+06"),
+        (1 / 3, "0.333333333333"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (True, "1"),
+        (False, "0"),
+        (np.True_, "1"),
+        (np.False_, "0"),
+        (np.float64(0.1), "0.1"),
+        (np.float64(-2.5e-7), "-2.50000000000e-07"),
+    ],
+)
+def test_fmt_float(x, text):
+    assert fmt_float(x) == text
+
+
+def test_unequal_column_lengths_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        ResultTable([Column("a", "1", [1.0, 2.0]), Column("b", "1", np.zeros(3))])
+
+
+@pytest.mark.parametrize("values", [[], np.array([])])
+def test_zero_rows_render_header_only(values):
+    table = ResultTable([Column("a", "1", values), Column("b", "MHz", [])], meta={"k": "v"})
+    assert table.rows == []
+    assert table.to_csv(include_meta=False) == "a[1],b[MHz]\n"
+    assert table.to_csv() == "# k = v\na[1],b[MHz]\n"
+    doc = json.loads(table.to_json())
+    assert doc == {"meta": {"k": "v"}, "columns": [{"name": "a", "unit": "1"}, {"name": "b", "unit": "MHz"}],
+                   "rows": []}
+
+
+def _mixed_table():
+    return ResultTable([
+        Column("state", "1", ["0,0", "1,1,+", 'say "hi"', "nan"]),
+        Column("x", "a.u.", np.array([0.1, -2.5e-7, np.nan, np.inf])),
+        Column("y", "MHz", [1e6, -np.inf, 0.0, 1 / 3]),
+        Column("flag", "1", np.array([True, False, True, False])),
+    ])
+
+
+def test_csv_and_json_carry_the_same_cells():
+    table = _mixed_table()
+    csv_rows = list(csv.reader(io.StringIO(table.to_csv(include_meta=False))))
+    doc = json.loads(table.to_json(include_meta=False))
+    assert csv_rows[0] == ["state[1]", "x[a.u.]", "y[MHz]", "flag[1]"]
+    assert len(csv_rows) - 1 == len(doc["rows"]) == 4
+    for csv_row, json_row in zip(csv_rows[1:], doc["rows"]):
+        # str cells pass through verbatim, even one that reads "nan"
+        assert csv_row[0] == json_row[0]
+        for text, value in zip(csv_row[1:], json_row[1:]):
+            if math.isfinite(float(text)):
+                assert float(text) == value
+            else:
+                assert value is None
+    assert [r[0] for r in doc["rows"]] == ["0,0", "1,1,+", 'say "hi"', "nan"]
+    assert [r[1:] for r in csv_rows[1:]] == [
+        ["0.1", "1.00000000000e+06", "1"],
+        ["-2.50000000000e-07", "-inf", "0"],
+        ["nan", "0", "1"],
+        ["inf", "0.333333333333", "0"],
+    ]
+
+
+def test_json_is_strict():
+    text = _mixed_table().to_json()
+    assert "NaN" not in text and "Infinity" not in text
+    json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+
+def test_rows_view_holds_python_values():
+    rows = _mixed_table().rows
+    assert rows[0] == ("0,0", 0.1, 1e6, True)
+    assert all(type(v) in (str, float, bool) for row in rows for v in row)
+
+
+def test_unknown_format_rejected():
+    with pytest.raises(ValueError, match="unknown format"):
+        _mixed_table().render("xml")
