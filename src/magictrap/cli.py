@@ -57,24 +57,35 @@ class _Parser(argparse.ArgumentParser):
 
     argparse takes a token such as ``-10:10`` or ``-1,0`` for an option of
     its own, so a value-taking option followed by one fails with "expected
-    one argument". Each parser records its value-taking options, and a token
-    after one of them that starts with "-" and a digit or "." is joined to it.
+    one argument". Each parser records its options and which of them take a
+    value, and a token that starts with "-" and a digit or "." is joined to a
+    preceding value-taking option: its full name, or a prefix that names no
+    other option (argparse's own abbreviation rule). An ambiguous prefix is
+    left alone, for argparse to report.
     """
 
     def __init__(self, *args, **kwargs):
-        self.value_options = set()   # filled by add_argument, which __init__ calls for --help
+        # filled by add_argument, which __init__ calls for --help
+        self.options, self.value_options = set(), set()
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
+        self.options.update(action.option_strings)
         if action.nargs != 0:
             self.value_options.update(action.option_strings)
         return action
 
+    def _takes_value(self, token):
+        if token.startswith("--") and token not in self.options:
+            names = [name for name in self.options if name.startswith(token)]
+            token = names[0] if len(names) == 1 else token
+        return token in self.value_options
+
     def parse_known_args(self, args=None, namespace=None):
         joined = []
         for token in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] in self.value_options and re.match(r"-[\d.]", token):
+            if joined and self._takes_value(joined[-1]) and re.match(r"-[\d.]", token):
                 joined[-1] += "=" + token
             else:
                 joined.append(token)

@@ -24,6 +24,8 @@ Magic fields come from one batched scan of the same kernel; sign changes
 between nodes are refined by Brent's method on it, one field at a time, and
 a node where the difference is zero to within 1e-10 abar is itself a root. A
 difference that is ~0 on most nodes (the magic angle) is degenerate instead.
+``_brent`` ports SciPy's ``brentq`` with bitwise the same roots and step
+counts, so the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -258,6 +260,78 @@ def _root_brackets(vals) -> list:
     return out
 
 
+def _div(n, d):
+    """``n / d`` as C divides: a zero divisor gives +-inf or nan, not an exception."""
+    return n / d if d else n * math.copysign(math.inf, d)
+
+
+def _brent(f, a, b, xtol, rtol, maxiter=100):
+    """Root of ``f`` in [a, b] by Brent's method: (root, converged, iterations).
+
+    A line-for-line port of SciPy's ``brentq`` (``Zeros/brentq.c``): the same
+    float operations in the same order and the same sign-bit tests, so root,
+    iteration count and evaluation count are bitwise SciPy's. As there, ends
+    of one sign or a nan value (SciPy's nan guard) raise ValueError. An end
+    point that is already a root returns after 0 iterations; SciPy leaves its
+    count unset on that path.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre, True, 0
+    if fcur == 0:
+        return xcur, True, 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for i in range(1, maxiter + 1):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True, i
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    return xcur, False, maxiter
+
+
 def find_magic_fields(
     molecule: MoleculeSpec,
     pair,
@@ -314,13 +388,10 @@ def find_magic_fields(
         if i == j:
             root, tol = a, 0.0
         else:
-            from scipy.optimize import brentq   # imported here: slow to load, and only refinement needs it
-
-            root, info = brentq(lambda e: float(diff(e)), a, b, xtol=1e-15, rtol=1e-12,
-                                full_output=True, disp=False)
-            if not info.converged:
+            root, converged, iterations = _brent(diff, a, b, xtol=1e-15, rtol=1e-12)
+            if not converged:
                 raise RefinementError(f"refinement of the crossing in [{a:.6g}, {b:.6g}] kV/cm did not "
-                                      f"converge in {info.iterations} steps; narrow the range")
+                                      f"converge in {iterations} steps; narrow the range")
             tol = 1e-12 * abs(root) + 1e-15
         alpha_a, alpha_b = alphas(root)
         reports.append(

@@ -201,10 +201,23 @@ def test_negative_value_after_an_option(capsys):
     spaced = invoke(capsys, *argv, "--range", "-10:10")
     assert spaced == invoke(capsys, *argv, "--range=-10:10")
     assert spaced[0] == 0 and spaced[1].splitlines()[1].startswith("-10,")
+    # a prefix that names one option is that option, as argparse reads it
+    for prefix in ("--ran", "--ra"):
+        assert invoke(capsys, *argv, prefix, "-10:10") == spaced
+    code, _, err = invoke(capsys, "polar", "--molecule", "KRb", "--states", "0,0", "--fi", "-1")
+    assert code == 1 and "argument --field: must be >= 0" in err
+    # an ambiguous prefix is left to argparse's own error
+    code, _, err = invoke(capsys, "polar", "--molecule", "KRb", "--states", "0,0", "--f", "-1")
+    assert code == 1 and "ambiguous option: --f could match" in err
     code, _, err = invoke(capsys, "sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "-1:5", "--states", "0,0")
     assert code == 1 and "fields must be >= 0" in err
     code, _, err = invoke(capsys, "eigen", "--molecule", "KRb", "--states", "-1,0")
     assert code == 1 and "J_tilde >= |M|" in err
+
+
+# a bracket so wide that Brent's method runs out of steps
+BRENT_FAILURE = ["find-magic-field", "--molecule", "RbCs", "--pair", "3,0:1,1,+", "--nu", "8800",
+                 "--pol", "sigma-", "--range", "0:1e100", "--jmax", "4"]
 
 
 @pytest.mark.parametrize(
@@ -223,9 +236,7 @@ def test_negative_value_after_an_option(capsys):
         ["eigen", "--molecule", "/nonexistent/path.molecule", "--states", "0,0"],
         # nu outside the tabulated range
         ["polar", "--molecule", "KRb", "--states", "0,0", "--nu", "99999"],
-        # a bracket so wide that Brent's method runs out of steps
-        ["find-magic-field", "--molecule", "RbCs", "--pair", "3,0:1,1,+", "--nu", "8800",
-         "--pol", "sigma-", "--range", "0:1e100", "--jmax", "4"],
+        BRENT_FAILURE,
     ],
 )
 def test_compute_errors_exit_2(capsys, argv):
@@ -319,8 +330,9 @@ def _nan_cells(argv, out):
           "--pol", "theta:nan", "--no-meta"])
 @example(["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--pol", "theta:nan", "--no-meta"])
 @example(["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--pol", "theta:inf", "--no-meta"])
-@example(["find-magic-field", "--molecule", "RbCs", "--pair", "3,0:1,1,+", "--nu", "8800", "--pol", "sigma-",
-          "--range", "0:1e100", "--jmax", "4", "--no-meta"])
+@example(BRENT_FAILURE + ["--no-meta"])
+@example(["sweep", "--molecule", "KRb", "--var", "theta", "--ran", "-10:10", "--steps", "3", "--states", "0,0",
+          "--no-meta"])
 @example(["eigen", "--molecule", "KRb", "--states", "0,0", "--jmax", "201", "--no-meta"])
 @example(["magic-angle", "--molecule", "KRb", "--pair", "0,0:1,1,+", "--format", "json", "--no-meta"])
 @example(["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "-1:5", "--states", "0,0", "--no-meta"])
@@ -336,6 +348,50 @@ def test_cli_contract(argv):
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
     else:
         assert _nan_cells(argv, out.getvalue()) == []
+
+
+# the seven commands of the README's "Command line" section
+README_COMMANDS = [
+    ["eigen", "--molecule", "KRb", "--field", "5", "--states", "0,0:1,0:1,1"],
+    ["polar", "--molecule", "RbCs", "--field", "3", "--pol", "x", "--states", "1,1", "--intensity", "5000"],
+    ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:15", "--steps", "61", "--states", "0,0:1,0"],
+    ["find-magic-field", "--molecule", "RbCs", "--pair", "0,0:1,0"],
+    ["magic-angle", "--molecule", "KRb"],
+    ["lattice", "--delta-b", "80", "--delta-c", "160", "--f-mot", "25"],
+    ["convergence", "--molecule", "KRb", "--field", "15", "--states", "0,0:1,0:1,1"],
+]
+
+# runs each argv of the JSON list in sys.argv[1] with every scipy import refused
+_RUN_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+from magictrap.cli import run
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results.append([run(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_without_scipy(capsys):
+    corpus = README_COMMANDS + [BRENT_FAILURE]
+    src = str(Path(magictrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, json.dumps(corpus)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    refused = json.loads(done.stdout)
+    assert [r[0] for r in refused] == [0] * 7 + [2]
+    assert refused == [list(invoke(capsys, *argv)) for argv in corpus]
 
 
 def test_import_does_not_load_scipy():

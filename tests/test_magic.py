@@ -1,15 +1,21 @@
 """Root finding for magic fields and the universal magic angle."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from magictrap import magic
 from magictrap.magic import (
     DegenerateDifferenceError,
     NoCrossingError,
     SweepGrid,
     _alpha_effs_theta,
+    _brent,
     _root_brackets,
     find_magic_field,
     find_magic_fields,
@@ -167,6 +173,99 @@ def test_tangent_zero_on_first_node_at_every_nu(mol):
 def test_scan_points_floor():
     with pytest.raises(ValueError):
         find_magic_fields(KRB, GROUND_PAIR, Z, scan_points=1)
+
+
+# ------------------------------------------------------ Brent refinement
+
+def _brent_and_brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Run ``_brent`` and scipy's ``brentq`` (the test-only reference) on ``f``.
+
+    Asserts bitwise agreement of root, converged flag, iteration count and
+    the sequence of evaluation points, or the same ValueError from both.
+    Returns the port's result, or the message of that ValueError.
+    """
+    ref_calls, calls = [], []
+    try:
+        root, info = brentq(lambda x: ref_calls.append(x) or f(x), a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                            full_output=True, disp=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _brent(lambda x: calls.append(x) or f(x), a, b, xtol, rtol, maxiter)
+        assert str(got.value) == str(exc) and calls == ref_calls
+        return str(exc)
+    got = _brent(lambda x: calls.append(x) or f(x), a, b, xtol, rtol, maxiter)
+    # an end point that is a root returns before scipy sets its iteration count
+    iterations = 0 if f(a) == 0 or f(b) == 0 else info.iterations
+    assert got == (root, info.converged, iterations)
+    assert calls == ref_calls and len(calls) == info.function_calls
+    return got
+
+
+_SMOOTH = {
+    "cubic": lambda c, s: lambda x: (x - c) * (1.0 + s * (x - c) ** 2),
+    "tanh": lambda c, s: lambda x: math.tanh(s * (x - c)),
+    "exp": lambda c, s: lambda x: math.expm1(s * (x - c)),
+    "sin": lambda c, s: lambda x: math.sin(s * (x - c)) + 0.3 * (x - c),
+    "tiny": lambda c, s: lambda x: 1e-300 * math.atan(s * (x - c)),   # f(a) f(b) underflows to 0
+}
+
+
+@given(
+    st.sampled_from(sorted(_SMOOTH)),
+    st.floats(-5.0, 5.0),
+    st.floats(0.1, 20.0),
+    st.floats(1e-9, 10.0),
+    st.floats(1e-9, 10.0),
+    st.sampled_from([1e-15, 2e-12, 1e-6]),
+    st.sampled_from([4 * np.finfo(float).eps, 1e-12, 1e-6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_brent_is_bitwise_brentq_on_smooth_functions(kind, root, scale, below, above, xtol, rtol):
+    f = _SMOOTH[kind](root, scale)
+    _brent_and_brentq(f, root - below, root + above, xtol, rtol)
+
+
+_PAIRS = [GROUND_PAIR, (StateLabel(0, 0), StateLabel(2, 0)), (StateLabel(1, 0), StateLabel(1, 1, "+")),
+          (StateLabel(1, 0), StateLabel(2, 0)), (StateLabel(2, 0), StateLabel(2, 1, "-"))]
+
+
+@given(
+    st.sampled_from([KRB, RBCS]),
+    st.sampled_from(_PAIRS),
+    st.floats(8800.0, 10400.0),
+    st.floats(0.0, 90.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_find_magic_fields_refines_as_brentq(mol, pair, nu, theta):
+    refined = []
+
+    def both(f, a, b, xtol, rtol, maxiter=100):
+        refined.append(_brent_and_brentq(f, a, b, xtol, rtol, maxiter))
+        return refined[-1]
+
+    with mock.patch.object(magic, "_brent", both):
+        try:
+            reps = find_magic_fields(mol, pair, PolarizationVector.linear_deg(theta), (0.0, 30.0), nu)
+        except (NoCrossingError, DegenerateDifferenceError):
+            return
+    assert [r.e_star_kv_cm for r in reps if r.bracket[0] != r.bracket[1]] == [r[0] for r in refined]
+
+
+def test_brent_out_of_iterations_matches_brentq():
+    root, converged, iterations = _brent_and_brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, 1e-15, 1e-12, maxiter=3)
+    assert not converged and iterations == 3
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (lambda x: math.nan if x > 0.5 else x - 0.7, "The function value at x=1.0 is NaN; solver cannot continue."),
+        (lambda x: x + 1.0, "f(a) and f(b) must have different signs"),
+    ],
+    ids=["nan", "one-sign"],
+)
+def test_brent_raises_as_brentq(f, message):
+    assert _brent_and_brentq(f, 0.0, 1.0, 2e-12, 4 * np.finfo(float).eps) == message
 
 
 def test_polarization_invariance_for_m0_pair():
