@@ -7,9 +7,9 @@ doing the same job at every field.
 One kernel feeds every table here. ``_alpha_effs`` makes a single
 ``stark.dressed_moments`` call per |M| block for a whole field grid (beta =
 d E / B), and ``alpha_eff_from_moments`` turns the dressed <C_20> and
-<C_2,+2> moments into alpha_eff; no per-field solve and no tensor is built.
-Sweeps, the figure tables, the magic angle and the magic-field search all
-read it.
+<C_2,+2> moments into alpha_eff under every polarization asked for; no
+per-field solve and no tensor is built. Sweeps, the figure tables, the magic
+angle and the magic-field search all read it.
 
 Angles need no extra kernel call. For linear light cos(theta) z + sin(theta) x
 the closed-form tensor has no xz element and the branch split is linear in
@@ -18,7 +18,8 @@ sin^2 theta, so
     alpha_eff(theta) = alpha_x sin^2(theta) + alpha_z cos^2(theta)
 
 with alpha_x and alpha_z the values under x and z light: a theta grid is an
-outer product of two kernel results.
+outer product of one kernel result under both. Theta grids, fig2's z and x
+panels and the magic angle share one diagonalization per |M| block.
 
 Magic fields come from one batched scan of the same kernel; sign changes
 between nodes are refined by Brent's method on it, one field at a time, and
@@ -104,35 +105,39 @@ class SweepGrid:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarization, j_max):
-    """alpha_eff of each label at the fields ``e_dc`` (kV/cm, any shape).
+def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_max):
+    """alpha_eff of each label at the fields ``e_dc`` (kV/cm, any shape), per polarization.
 
-    One ``stark.dressed_moments`` call per |M| block covers the whole grid.
-    ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
+    One ``stark.dressed_moments`` call per |M| block covers the whole grid
+    and every polarization; the result holds one list of per-label arrays for
+    each. ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
     """
     for lb in labels:
         if lb.j_tilde > j_max:
             raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
     betas = molecule.beta(np.asarray(e_dc, dtype=float))
     moments = {m: stark.dressed_moments(m, betas, j_max) for m in {abs(lb.m) for lb in labels}}
-    out = []
+    states = []
     for lb in labels:
         _, c20, c22 = moments[abs(lb.m)]
         k = lb.j_tilde - abs(lb.m)
-        out.append(alpha_eff_from_moments(lb, c20[..., k], c22[..., k], alpha_par, alpha_perp, polarization))
-    return out
+        states.append((lb, c20[..., k], c22[..., k]))
+    return [[alpha_eff_from_moments(lb, c20, c22, alpha_par, alpha_perp, pol) for lb, c20, c22 in states]
+            for pol in polarizations]
+
+
+_X_AND_Z = (PolarizationVector.x(), PolarizationVector.z())
 
 
 def _alpha_effs_theta(molecule, labels, e_dc, alpha_par, alpha_perp, theta_deg, j_max):
     """alpha_eff of each label over fields x linear-polarization angles.
 
     Each entry has shape ``np.shape(e_dc) + (len(theta_deg),)``: the outer
-    product alpha_x sin^2 + alpha_z cos^2 of one x-light and one z-light call.
+    product alpha_x sin^2 + alpha_z cos^2 of the x-light and z-light values.
     """
     rad = np.radians(np.asarray(theta_deg, dtype=float))
     s, c = np.sin(rad), np.cos(rad)
-    a_x = _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, PolarizationVector.x(), j_max)
-    a_z = _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, PolarizationVector.z(), j_max)
+    a_x, a_z = _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, _X_AND_Z, j_max)
     return [ax[..., None] * s * s + az[..., None] * c * c for ax, az in zip(a_x, a_z)]
 
 
@@ -151,12 +156,12 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
         meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", nu_cm=f"{grid.nu_cm:.12g}")
     elif grid.variable == "E_dc":
         a_par, a_perp = alpha_lambda_at(mol, grid.nu_cm)
-        alphas = _alpha_effs(mol, labels, x, a_par, a_perp, pol, grid.j_max)
+        (alphas,) = _alpha_effs(mol, labels, x, a_par, a_perp, (pol,), grid.j_max)
         meta.update(nu_cm=f"{grid.nu_cm:.12g}", polarization=str(pol))
     else:
         # nu sweep: the dressing is nu-independent, only the alpha table moves
         a_par, a_perp = np.array([alpha_lambda_at(mol, nu) for nu in x]).T
-        alphas = _alpha_effs(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, pol, grid.j_max)
+        (alphas,) = _alpha_effs(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, (pol,), grid.j_max)
         meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", polarization=str(pol))
 
     columns = [Column(grid.variable, _VARIABLES[grid.variable], x)]
@@ -208,7 +213,7 @@ def emit_figure_data(figure: str, molecule, nu_cm: float = 9174.0, j_max: int = 
         fields = np.linspace(0.0, 15.0, 61)
         pols = {"z": PolarizationVector.z(), "x": PolarizationVector.x()}
         # axes (polarization, state, field), laid out as (field, polarization, state)
-        alphas = np.array([_alpha_effs(mol, _FIG_STATES, fields, a_par, a_perp, pol, j_max) for pol in pols.values()])
+        alphas = np.array(_alpha_effs(mol, _FIG_STATES, fields, a_par, a_perp, pols.values(), j_max))
         axes = [("E_dc", "kV/cm", fields), ("polarization", "1", list(pols)), states]
         return _long_table(axes, alphas.transpose(2, 0, 1), meta)
 
@@ -251,13 +256,11 @@ def _root_brackets(vals) -> list:
     ``(i, i + 1)`` a strict sign change between neighbouring nodes. A zero
     node is never also the end of a sign-change cell, so it is reported once.
     """
-    out = []
-    for i, v in enumerate(vals):
-        if v == 0.0:
-            out.append((i, i))
-        elif i + 1 < len(vals) and v * vals[i + 1] < 0.0:
-            out.append((i, i + 1))
-    return out
+    vals = np.asarray(vals, dtype=float)
+    zero = vals == 0.0
+    change = np.zeros_like(zero)
+    change[:-1] = ~zero[:-1] & (vals[:-1] * vals[1:] < 0.0)
+    return [(i, i) if zero[i] else (i, i + 1) for i in np.flatnonzero(zero | change).tolist()]
 
 
 def _div(n, d):
@@ -363,7 +366,7 @@ def find_magic_fields(
     abar = (a_par + 2.0 * a_perp) / 3.0
 
     def alphas(e_dc):
-        return _alpha_effs(molecule, pair, e_dc, a_par, a_perp, polarization, j_max)
+        return _alpha_effs(molecule, pair, e_dc, a_par, a_perp, (polarization,), j_max)[0]
 
     def diff(e_dc):
         a, b = alphas(e_dc)
@@ -518,8 +521,7 @@ def magic_angle(
             no_common_angle=False, degenerate=True,
         )
     fields = np.asarray(e_grid_kv_cm, dtype=float)
-    a_x = _alpha_effs(molecule, pair, fields, a_par, a_perp, PolarizationVector.x(), j_max)
-    a_z = _alpha_effs(molecule, pair, fields, a_par, a_perp, PolarizationVector.z(), j_max)
+    a_x, a_z = _alpha_effs(molecule, pair, fields, a_par, a_perp, _X_AND_Z, j_max)
     s0, c0 = math.sin(math.radians(MAGIC_ANGLE_DEG)), math.cos(math.radians(MAGIC_ANGLE_DEG))
     at_theta0 = [ax * s0 * s0 + az * c0 * c0 for ax, az in zip(a_x, a_z)]
     # difference(theta) = d_zz cos^2 + d_xx sin^2; a root needs opposite signs

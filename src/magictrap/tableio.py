@@ -5,8 +5,10 @@ value per row: a numpy array or a list of numbers, bools or strings.
 Producers hand over the arrays they computed; rows exist only when the
 table is written (and as the read-only ``rows`` view).
 
-Every emitted number uses 12 significant digits, switching to scientific
-notation for |x| < 1e-3 or |x| >= 1e6; strings pass through verbatim.
+Every emitted number is ``fmt_float`` of it: 12 significant digits,
+switching to scientific notation for |x| < 1e-3 or |x| >= 1e6; strings pass
+through verbatim. A 1-D float64 column takes one ``.12g`` pass, and one mask
+sends only its zero, tiny, huge and non-finite cells through ``fmt_float``.
 Identical inputs therefore yield byte-identical CSV/JSON, which the tests
 rely on for diffing. JSON writes a non-finite number as ``null`` where CSV
 writes ``nan`` or ``inf``, so that the JSON stays valid (RFC 8259).
@@ -19,6 +21,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["Column", "ResultTable", "fmt_float"]
 
@@ -43,6 +47,16 @@ def _json_number(x):
     return v if math.isfinite(v) else None
 
 
+def _float_texts(values):
+    """``fmt_float`` of each cell of a 1-D float64 array, and the cells it writes other than ``.12g``."""
+    texts = list(map("{:.12g}".format, values.tolist()))
+    mag = np.abs(values)
+    others = np.flatnonzero(~((mag >= 1e-3) & (mag < 1e6))).tolist()   # nan compares False
+    for i in others:
+        texts[i] = fmt_float(values[i])
+    return texts, others
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -59,10 +73,23 @@ class Column:
         values = self.values
         return values.tolist() if hasattr(values, "tolist") else list(values)
 
+    @property
+    def _is_float_vector(self) -> bool:
+        v = self.values
+        return isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1
+
     def csv_cells(self) -> list:
+        if self._is_float_vector:
+            return _float_texts(self.values)[0]
         return [v if isinstance(v, str) else fmt_float(v) for v in self.cells]
 
     def json_cells(self) -> list:
+        if self._is_float_vector:
+            texts, others = _float_texts(self.values)
+            numbers = list(map(float, texts))
+            for i in others:
+                numbers[i] = _json_number(self.values[i])
+            return numbers
         return [v if isinstance(v, str) else _json_number(v) for v in self.cells]
 
 

@@ -5,11 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from magictrap import magic
+from magictrap import magic, stark
 from magictrap.magic import (
     DegenerateDifferenceError,
     NoCrossingError,
@@ -17,6 +17,7 @@ from magictrap.magic import (
     _alpha_effs_theta,
     _brent,
     _root_brackets,
+    emit_figure_data,
     find_magic_field,
     find_magic_fields,
     magic_angle,
@@ -149,6 +150,27 @@ def test_find_magic_fields_returns_all_brackets():
 )
 def test_root_brackets(vals, brackets):
     assert _root_brackets(np.array(vals)) == brackets
+
+
+def _root_brackets_loop(vals):
+    """The node-by-node scan that ``_root_brackets`` vectorises: its reference."""
+    out = []
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            out.append((i, i))
+        elif i + 1 < len(vals) and v * vals[i + 1] < 0.0:
+            out.append((i, i + 1))
+    return out
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0]), st.floats()), max_size=24),
+       st.booleans())
+@example([1.0, -0.0, -1.0, math.nan, -2.0, 3.0], True)
+@settings(max_examples=300, deadline=None)
+def test_root_brackets_matches_the_loop(nodes, zero_last):
+    vals = np.array(nodes + [0.0] * zero_last)
+    with np.errstate(all="ignore"):
+        assert _root_brackets(vals) == _root_brackets_loop(vals)
 
 
 def test_root_on_a_scan_node_is_reported_once():
@@ -404,3 +426,48 @@ def test_sweep_meta_records_grid():
     csv_text = table.to_csv()
     assert csv_text.startswith("#")
     assert "molecule" in csv_text
+
+
+# ------------------------------------------- one diagonalization per table
+
+_BRANCH_PAIR = (StateLabel(0, 0), StateLabel(1, 1, "+"))
+# each table that needs both x and z light, with the |M| blocks it reads
+_X_AND_Z_TABLES = {
+    "fig2": (lambda: emit_figure_data("fig2", RBCS), [0, 1]),
+    "fig3": (lambda: emit_figure_data("fig3", KRB), [0]),
+    "fig4": (lambda: emit_figure_data("fig4", KRB, nu_cm=9500.0), [0, 1]),
+    "sweep:theta": (lambda: sweep(SweepGrid("theta", 0.0, 90.0, 19, RBCS, e_dc_kv_cm=2.0), magic._FIG_STATES), [0, 1]),
+    "magic_angle:m0": (lambda: magic_angle(GROUND_PAIR, KRB), [0]),
+    "magic_angle:branch": (lambda: magic_angle(_BRANCH_PAIR, RBCS, e_grid_kv_cm=(0.5, 2.0, 4.0)), [0, 1]),
+}
+
+
+def _values(result):
+    if isinstance(result, magic.ResultTable):
+        return [np.asarray(col.values) for col in result.columns]
+    return [np.asarray(v, dtype=float) for v in (result.spread_au, [c[0] for c in result.crossings],
+                                                 [math.nan if c[1] is None else c[1] for c in result.crossings])]
+
+
+@pytest.mark.parametrize("name", list(_X_AND_Z_TABLES))
+def test_x_and_z_light_share_one_diagonalization_per_block(name, monkeypatch):
+    make, blocks = _X_AND_Z_TABLES[name]
+    real_moments, real_alpha_effs = stark.dressed_moments, magic._alpha_effs
+    calls = []
+
+    def counted(m, betas, j_max=10):
+        calls.append(abs(m))
+        return real_moments(m, betas, j_max)
+
+    def per_polarization(molecule, labels, e_dc, a_par, a_perp, polarizations, j_max):
+        return [real_alpha_effs(molecule, labels, e_dc, a_par, a_perp, (pol,), j_max)[0] for pol in polarizations]
+
+    monkeypatch.setattr(stark, "dressed_moments", counted)
+    shared = make()
+    assert sorted(calls) == blocks
+    calls.clear()
+    monkeypatch.setattr(magic, "_alpha_effs", per_polarization)
+    separate = make()
+    assert sorted(calls) == sorted(blocks * 2)
+    for got, want in zip(_values(shared), _values(separate), strict=True):
+        assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")

@@ -7,8 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from magictrap.tableio import Column, ResultTable, fmt_float
+from magictrap.tableio import Column, ResultTable, _json_number, fmt_float
 
 
 @pytest.mark.parametrize(
@@ -37,6 +40,48 @@ from magictrap.tableio import Column, ResultTable, fmt_float
 )
 def test_fmt_float(x, text):
     assert fmt_float(x) == text
+
+
+# the values where fmt_float's format changes, their neighbours, subnormals and the extremes
+_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+          math.nextafter(0.0, 1.0) * 3, 1e-3, 1e6, 1.7976931348623157e308]
+_EDGES += [math.nextafter(x, d) for x in (1e-3, 1e6) for d in (0.0, math.inf)]
+_EDGES += [-x for x in _EDGES]
+_FLOATS = st.one_of(st.sampled_from(_EDGES), st.floats(), st.floats(-2e6, 2e6), st.floats(-2e-3, 2e-3))
+
+
+def _outcome(cells):
+    """The cells, or the type of the exception that making them raised."""
+    try:
+        return [repr(v) for v in cells()]
+    except TypeError as exc:
+        return type(exc)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=30), elements=_FLOATS))
+@example(np.array(_EDGES))
+@example(np.array([_EDGES, _EDGES[::-1]]))
+@settings(max_examples=300, deadline=None)
+def test_float_array_cells_are_fmt_float_cell_by_cell(values):
+    """The one-pass float column writes what fmt_float writes, cell by cell.
+
+    A 2-D array has rows, not numbers, for cells: both ways reject it alike.
+    """
+    col = Column("x", "1", values)
+    assert _outcome(col.csv_cells) == _outcome(lambda: [fmt_float(v) for v in col.cells])
+    assert _outcome(col.json_cells) == _outcome(lambda: [_json_number(v) for v in col.cells])
+
+
+@given(st.one_of(
+    hnp.arrays(st.sampled_from([np.bool_, np.int64, np.float32]), st.integers(0, 20)),
+    st.lists(st.one_of(_FLOATS, st.integers(-10**8, 10**8), st.booleans(), st.text(max_size=4)), max_size=20),
+))
+@settings(max_examples=200, deadline=None)
+def test_other_columns_keep_the_per_cell_path(values):
+    col = Column("x", "1", values)
+    cells = col.cells
+    assert col.csv_cells() == [v if isinstance(v, str) else fmt_float(v) for v in cells]
+    assert [repr(v) for v in col.json_cells()] == [repr(v if isinstance(v, str) else _json_number(v)) for v in cells]
 
 
 def test_unequal_column_lengths_rejected():
