@@ -25,7 +25,7 @@ def main():
             table = emit_figure_data(fig, molecule, nu_cm=args.nu)
             path = outdir / f"{fig}_{molecule.lower()}.csv"
             path.write_text(table.to_csv())
-            print(f"wrote {path} ({len(table.rows)} rows)")
+            print(f"wrote {path} ({len(table.columns[0])} rows)")
 
 
 if __name__ == "__main__":

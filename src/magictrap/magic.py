@@ -160,7 +160,7 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
         meta.update(nu_cm=f"{grid.nu_cm:.12g}", polarization=str(pol))
     else:
         # nu sweep: the dressing is nu-independent, only the alpha table moves
-        a_par, a_perp = np.array([alpha_lambda_at(mol, nu) for nu in x]).T
+        a_par, a_perp = alpha_lambda_at(mol, x)
         (alphas,) = _alpha_effs(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, (pol,), grid.j_max)
         meta.update(E_dc_kv_cm=f"{grid.e_dc_kv_cm:.12g}", polarization=str(pol))
 
@@ -184,8 +184,8 @@ def _long_table(axes, values, meta) -> ResultTable:
 
     ``axes`` holds one (name, unit, coordinates) triple per axis of ``values``.
     """
-    grids = np.meshgrid(*(np.asarray(coords) for _, _, coords in axes), indexing="ij")
-    columns = [Column(name, unit, grid.ravel()) for (name, unit, _), grid in zip(axes, grids)]
+    index = np.indices([len(coords) for _, _, coords in axes]).reshape(len(axes), -1)
+    columns = [Column(name, unit, coords, i) for (name, unit, coords), i in zip(axes, index)]
     return ResultTable(columns + [Column("alpha_eff", "a.u.", np.ravel(values))], meta)
 
 
@@ -507,8 +507,8 @@ def magic_angle(
     """theta0 = arccos(1/sqrt(3)) plus numerical evidence across the fields.
 
     For every field in the grid the crossing angle of the pair's alpha_eff
-    curves is located; M = 0 pairs share theta0 exactly, pairs containing an
-    |M| > 0 branch do not share any angle and are flagged.
+    curves is located. M = 0 and |M| >= 2 states share theta0, same-branch
+    |M| = 1 pairs cos^2 = 1/5 (``+``) or 3/7 (``-``); other pairs are flagged.
     """
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0

@@ -1,17 +1,19 @@
 """Result tables with unit-tagged columns and reproducible float formatting.
 
 A ``ResultTable`` is a list of equal-length ``Column``s, each holding one
-value per row: a numpy array or a list of numbers, bools or strings.
-Producers hand over the arrays they computed; rows exist only when the
-table is written (and as the read-only ``rows`` view).
+value per row (a numpy array or a list of numbers, bools or strings), or each
+distinct value once with an ``index``: row i holds ``values[index[i]]``. Rows
+exist only when the table is written (and as the read-only ``rows`` view).
 
 Every emitted number is ``fmt_float`` of it: 12 significant digits,
 switching to scientific notation for |x| < 1e-3 or |x| >= 1e6; strings pass
 through verbatim. A 1-D float64 column takes one ``.12g`` pass, and one mask
 sends only its zero, tiny, huge and non-finite cells through ``fmt_float``.
 Identical inputs therefore yield byte-identical CSV/JSON, which the tests
-rely on for diffing. JSON writes a non-finite number as ``null`` where CSV
-writes ``nan`` or ``inf``, so that the JSON stays valid (RFC 8259).
+rely on for diffing. CSV rows are joined with ``","``; ``csv.writer`` quotes
+the strings that may need it (no number text does). JSON writes a non-finite
+number as ``null`` where CSV writes ``nan`` or ``inf``, so that the JSON
+stays valid (RFC 8259).
 """
 
 from __future__ import annotations
@@ -57,11 +59,31 @@ def _float_texts(values):
     return texts, others
 
 
+def _spread(items: list, index) -> list:
+    return items if index is None else np.array(items, dtype=object)[index].tolist()
+
+
+_MAY_QUOTE = frozenset('\0\r\n",')   # csv.writer quotes or rejects a field only for these, per Python version
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields of a row."""
+    if _MAY_QUOTE.isdisjoint(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
     unit: str   # "1" for dimensionless
     values: object   # one value per row: an array or a sequence
+    index: object = None   # integers: then row i holds values[index[i]]
+
+    def __len__(self) -> int:
+        return len(self.values if self.index is None else self.index)
 
     @property
     def header(self) -> str:
@@ -69,7 +91,10 @@ class Column:
 
     @property
     def cells(self) -> list:
-        """The values as Python scalars (numpy arrays via ``tolist``)."""
+        """The row values as Python scalars (numpy arrays via ``tolist``)."""
+        return _spread(self._value_cells(), self.index)
+
+    def _value_cells(self) -> list:
         values = self.values
         return values.tolist() if hasattr(values, "tolist") else list(values)
 
@@ -78,19 +103,22 @@ class Column:
         v = self.values
         return isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1
 
-    def csv_cells(self) -> list:
+    def _texts(self) -> list:
         if self._is_float_vector:
             return _float_texts(self.values)[0]
-        return [v if isinstance(v, str) else fmt_float(v) for v in self.cells]
+        return [v if isinstance(v, str) else fmt_float(v) for v in self._value_cells()]
+
+    def csv_cells(self) -> list:
+        return _spread(self._texts(), self.index)
 
     def json_cells(self) -> list:
-        if self._is_float_vector:
-            texts, others = _float_texts(self.values)
-            numbers = list(map(float, texts))
-            for i in others:
-                numbers[i] = _json_number(self.values[i])
-            return numbers
-        return [v if isinstance(v, str) else _json_number(v) for v in self.cells]
+        if not self._is_float_vector:
+            return _spread([v if isinstance(v, str) else _json_number(v) for v in self._value_cells()], self.index)
+        texts, others = _float_texts(self.values)
+        numbers = list(map(float, texts))
+        for i in others:
+            numbers[i] = _json_number(self.values[i])
+        return _spread(numbers, self.index)
 
 
 @dataclass
@@ -99,7 +127,7 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        lengths = {col.name: len(col.values) for col in self.columns}
+        lengths = {col.name: len(col) for col in self.columns}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
 
@@ -109,14 +137,15 @@ class ResultTable:
         return list(zip(*(col.cells for col in self.columns)))
 
     def to_csv(self, include_meta: bool = True) -> str:
-        buf = io.StringIO()
-        if include_meta:
-            for key, value in self.meta.items():
-                buf.write(f"# {key} = {value}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(col.header for col in self.columns)
-        writer.writerows(zip(*(col.csv_cells() for col in self.columns)))
-        return buf.getvalue()
+        lines = [f"# {key} = {value}" for key, value in self.meta.items()] if include_meta else []
+        lines.append(",".join(_csv_field(col.header) for col in self.columns))
+        # float texts never need quoting; each other text is quoted once, before the index spreads it
+        fields = [_spread(col._texts() if col._is_float_vector else list(map(_csv_field, col._texts())), col.index)
+                  for col in self.columns]
+        rows = map(",".join, zip(*fields))
+        # as csv.writer does, a row whose only field is empty is written quoted
+        lines += rows if len(fields) != 1 else [row or '""' for row in rows]
+        return "\n".join(lines) + "\n"
 
     def to_json(self, include_meta: bool = True) -> str:
         doc = {

@@ -170,18 +170,18 @@ def load_molecule(name_or_path) -> MoleculeSpec:
     return _parse_molecule_text(path.read_text(), origin=str(path))
 
 
-def alpha_lambda_at(spec: MoleculeSpec, nu_cm: float):
+def alpha_lambda_at(spec: MoleculeSpec, nu_cm):
     """(alpha_parallel, alpha_perp) in a.u. at wavenumber ``nu_cm``.
 
-    Linear interpolation on the molecule's table, exact at the nodes. Raises
-    ValueError outside the tabulated range (no extrapolation).
+    Linear interpolation on the molecule's table, exact at the nodes, at one
+    wavenumber or a 1-D array of them. Raises ValueError outside the table.
     """
     grid = spec.nu_grid
-    if not (grid[0] <= nu_cm <= grid[-1]):
-        raise ValueError(
-            f"nu = {nu_cm} cm^-1 outside the tabulated range "
-            f"[{grid[0]}, {grid[-1]}] for molecule {spec.name!r}"
-        )
-    par = float(np.interp(nu_cm, grid, spec.alpha_par))
-    perp = float(np.interp(nu_cm, grid, spec.alpha_perp))
-    return par, perp
+    array = isinstance(nu_cm, np.ndarray) and nu_cm.ndim > 0
+    for nu in nu_cm if array else (nu_cm,):
+        if not (grid[0] <= nu <= grid[-1]):
+            raise ValueError(f"nu = {nu} cm^-1 outside the tabulated range "
+                             f"[{grid[0]}, {grid[-1]}] for molecule {spec.name!r}")
+    par = np.interp(nu_cm, grid, spec.alpha_par)
+    perp = np.interp(nu_cm, grid, spec.alpha_perp)
+    return (par, perp) if array else (float(par), float(perp))

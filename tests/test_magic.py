@@ -325,6 +325,20 @@ def test_magic_angle_branch_pair_has_no_common_angle():
     assert rep.no_common_angle
 
 
+@pytest.mark.parametrize("branch, cos2", [("+", 1 / 5), ("-", 3 / 7)])
+@pytest.mark.parametrize("molecule", [KRB, RBCS], ids=["KRb", "RbCs"])
+def test_magic_angle_same_branch_m1_pair_has_its_family_angle(molecule, branch, cos2):
+    """Two |M| = 1 states of one branch cross at one angle at every field, not at theta0."""
+    fields = tuple(np.linspace(0.5, 6.0, 12))
+    rep = magic_angle((StateLabel(1, 1, branch), StateLabel(2, 1, branch)), molecule, e_grid_kv_cm=fields)
+    family_deg = math.degrees(math.acos(math.sqrt(cos2)))
+    assert [e for e, _ in rep.crossings] == pytest.approx(fields)
+    for _, theta in rep.crossings:
+        assert theta == pytest.approx(family_deg, abs=1e-9)
+    assert not rep.no_common_angle
+    assert rep.theta0_deg == MAGIC_ANGLE_DEG
+
+
 def test_magic_angle_isotropic_molecule_degenerate():
     iso = MoleculeSpec(
         name="iso",

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from magictrap import tableio
+from magictrap.magic import emit_figure_data
 from magictrap.tableio import Column, ResultTable, _json_number, fmt_float
 
 
@@ -147,3 +149,102 @@ def test_rows_view_holds_python_values():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="unknown format"):
         _mixed_table().render("xml")
+
+
+# ------------------------------------------------------------ the CSV writer
+
+# strings csv.writer must quote, double or keep as they are, and the empty field
+_TEXTS = st.one_of(
+    st.text(alphabet=st.sampled_from(["a", "Z", " ", ",", '"', "\r", "\n", "-", "1", "+", "é"]), max_size=6),
+    st.sampled_from(["", '""', " ", "nan", "0,0", "1,1,+"]),
+)
+
+
+def _csv_writer_text(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(col.header for col in table.columns)
+    writer.writerows(zip(*(col.csv_cells() for col in table.columns)))
+    return buf.getvalue()
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(_TEXTS)
+        if draw(st.booleans()):
+            values = draw(hnp.arrays(np.float64, n_rows, elements=_FLOATS))
+        else:
+            values = draw(st.lists(_TEXTS, min_size=n_rows, max_size=n_rows))
+        columns.append(Column(name, draw(st.sampled_from(["1", "a.u.", "x,y"])), values))
+    return ResultTable(columns, meta={"k": draw(_TEXTS)})
+
+
+@given(_tables())
+@example(ResultTable([Column("x", "1", np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                                    math.nextafter(1e-3, 0.0), 1e-3, math.nextafter(1e6, 0.0), 1e6]))]))
+@example(ResultTable([Column("s", "1", ["", " ", '"', "\r", "\n", ",", '""', "a b"])]))
+@example(ResultTable([Column("s", "1", ["", ""]), Column("t", "1", ["", ""])]))
+@example(ResultTable([Column("", "", [])]))
+@settings(max_examples=300, deadline=None)
+def test_csv_is_what_csv_writer_writes(table):
+    assert table.to_csv(include_meta=False) == _csv_writer_text(table)
+    assert table.to_csv() == "".join(f"# {k} = {v}\n" for k, v in table.meta.items()) + _csv_writer_text(table)
+
+
+# ---------------------------------------------------------- indexed columns
+
+@st.composite
+def _indexed_columns(draw):
+    """(values, index): float, str, bool and plain-list values, each spread by an integer index."""
+    kind = draw(st.sampled_from(["float", "str", "bool", "list"]))
+    n = draw(st.integers(1, 6))
+    if kind == "float":
+        values = draw(hnp.arrays(np.float64, n, elements=_FLOATS))
+    elif kind == "str":
+        values = draw(st.lists(_TEXTS, min_size=n, max_size=n))
+    elif kind == "bool":
+        values = draw(hnp.arrays(np.bool_, n))
+    else:
+        values = draw(st.lists(st.floats(-1e7, 1e7), min_size=n, max_size=n))
+    index = draw(hnp.arrays(np.intp, st.integers(0, 20), elements=st.integers(0, n - 1)))
+    return values, index
+
+
+@given(_indexed_columns())
+@settings(max_examples=200, deadline=None)
+def test_indexed_column_is_the_column_it_spreads(values_index):
+    values, index = values_index
+    indexed = Column("x", "1", values, index)
+    plain = Column("x", "1", np.asarray(values)[index])
+    assert len(indexed) == len(plain) == len(index)
+    # repr, so that nan equals nan
+    assert repr(indexed.cells) == repr(plain.cells)
+    assert indexed.csv_cells() == plain.csv_cells()
+    assert repr(indexed.json_cells()) == repr(plain.json_cells())
+    tables = [ResultTable([Column("e", "1", np.arange(len(index), dtype=float)), col]) for col in (indexed, plain)]
+    assert repr(tables[0].rows) == repr(tables[1].rows)
+    for fmt in ("csv", "json"):
+        assert tables[0].render(fmt) == tables[1].render(fmt)
+
+
+def test_indexed_column_length_is_its_index_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        ResultTable([Column("a", "1", np.zeros(3)), Column("b", "1", np.zeros(3), np.array([0, 1]))])
+
+
+def test_fig4_formats_each_axis_value_once(monkeypatch):
+    """fig4's 3,640 rows format its 10 fields, 91 angles and 4 state labels once each."""
+    table = emit_figure_data("fig4", "KRb")
+    formatted, quoted = [], []
+    float_texts, csv_field = tableio._float_texts, tableio._csv_field
+    monkeypatch.setattr(tableio, "_float_texts", lambda values: formatted.append(len(values)) or float_texts(values))
+    monkeypatch.setattr(tableio, "_csv_field", lambda text: quoted.append(text) or csv_field(text))
+    for fmt in ("csv", "json"):
+        formatted.clear()
+        table.render(fmt)
+        assert formatted == [10, 91, 10 * 91 * 4]   # E_dc, theta, alpha_eff
+    assert len(table.columns[0]) == 10 * 91 * 4
+    assert quoted == [col.header for col in table.columns] + ["0,0", "1,0", "1,1,+", "1,1,-"]

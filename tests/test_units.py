@@ -1,7 +1,11 @@
 """Physical constants and molecule table loading."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magictrap.units import (
     AU_POL_TO_MHZ_PER_W_CM2,
@@ -109,6 +113,25 @@ def test_alpha_lambda_refuses_extrapolation():
         alpha_lambda_at(spec, spec.nu_grid[0] - 1.0)
     with pytest.raises(ValueError):
         alpha_lambda_at(spec, spec.nu_grid[-1] + 1.0)
+
+
+@given(st.sampled_from(["KRb", "RbCs"]),
+       st.lists(st.one_of(st.floats(8700.0, 10500.0), st.sampled_from([8800.0, 10400.0, math.nan])),
+                min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_alpha_lambda_at_over_an_array_is_the_lookup_per_point(name, nus):
+    """One interpolation over an array: bitwise the per-point values, or the same error."""
+    spec = load_molecule(name)
+    nus = np.array(nus)
+    try:
+        expected = [alpha_lambda_at(spec, nu) for nu in nus]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            alpha_lambda_at(spec, nus)
+        assert str(raised.value) == str(exc)   # names the first wavenumber outside, in array order
+    else:
+        par, perp = alpha_lambda_at(spec, nus)
+        assert (par.tolist(), perp.tolist()) == tuple(map(list, zip(*expected)))
 
 
 def test_molecule_spec_validation():
