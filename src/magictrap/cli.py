@@ -344,7 +344,7 @@ def _cmd_magic_angle(args) -> str:
         pair=f"{args.pair[0]}:{args.pair[1]}",
         nu_cm=f"{args.nu:.12g}",
         theta0_deg=f"{report.theta0_deg:.12g}",
-        cos2_theta0="1/3",
+        cos2_theta0={1 / 3: "1/3", 1 / 5: "1/5", 3 / 7: "3/7"}[report.cos2_theta0],
         abar_au=f"{report.abar_au:.12g}",
         j_max=str(args.jmax),
     )

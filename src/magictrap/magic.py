@@ -6,10 +6,11 @@ doing the same job at every field.
 
 One kernel feeds every table here. ``_alpha_effs`` makes a single
 ``stark.dressed_moments`` call per |M| block for a whole field grid (beta =
-d E / B), and ``alpha_eff_from_moments`` turns the dressed <C_20> and
-<C_2,+2> moments into alpha_eff under every polarization asked for; no
-per-field solve and no tensor is built. Sweeps, the figure tables, the magic
-angle and the magic-field search all read it.
+d E / B), and ``alpha_eff_from_moments`` turns the dressed <C_20>, the one
+moment a state needs (``stark`` derives the |M| = 1 coherence from it), into
+alpha_eff under every polarization asked for; no per-field solve and no
+tensor is built. Sweeps, the figure tables, the magic angle and the
+magic-field search all read it.
 
 Angles need no extra kernel call. For linear light cos(theta) z + sin(theta) x
 the closed-form tensor has no xz element and the branch split is linear in
@@ -116,13 +117,9 @@ def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_
         if lb.j_tilde > j_max:
             raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
     betas = molecule.beta(np.asarray(e_dc, dtype=float))
-    moments = {m: stark.dressed_moments(m, betas, j_max) for m in {abs(lb.m) for lb in labels}}
-    states = []
-    for lb in labels:
-        _, c20, c22 = moments[abs(lb.m)]
-        k = lb.j_tilde - abs(lb.m)
-        states.append((lb, c20[..., k], c22[..., k]))
-    return [[alpha_eff_from_moments(lb, c20, c22, alpha_par, alpha_perp, pol) for lb, c20, c22 in states]
+    c20_blocks = {m: stark.dressed_moments(m, betas, j_max)[1] for m in {abs(lb.m) for lb in labels}}
+    c20s = [c20_blocks[abs(lb.m)][..., lb.j_tilde - abs(lb.m)] for lb in labels]
+    return [[alpha_eff_from_moments(lb, c20, alpha_par, alpha_perp, pol) for lb, c20 in zip(labels, c20s)]
             for pol in polarizations]
 
 
@@ -504,25 +501,32 @@ def magic_angle(
     nu_cm: float = 9174.0,
     j_max: int = 10,
 ) -> MagicAngleReport:
-    """theta0 = arccos(1/sqrt(3)) plus numerical evidence across the fields.
+    """The pair's family angle theta0 plus numerical evidence across the fields.
 
-    For every field in the grid the crossing angle of the pair's alpha_eff
-    curves is located. M = 0 and |M| >= 2 states share theta0, same-branch
-    |M| = 1 pairs cos^2 = 1/5 (``+``) or 3/7 (``-``); other pairs are flagged.
+    At theta0 the <C_20> coefficient of alpha_eff(theta) vanishes, so every
+    state of the family has the same alpha_eff at every field: cos^2 theta0 =
+    1/3 for M = 0 and |M| >= 2, 1/5 and 3/7 for the |M| = 1 ``+`` and ``-``
+    branches. A pair from two families is flagged and reported at 1/3. The
+    crossing angle of the pair's curves is located at every grid field.
     """
+    # the coefficient is da (3 cos^2 - 1)/3, plus +-da sin^2/6 through t = (<C_20> - 1)/sqrt(6)
+    # for an |M| = 1 branch (a branchless one is refused by alpha_eff_from_moments)
+    families = {{"+": (1, 5), "-": (3, 7)}.get(lb.branch, (1, 3)) if abs(lb.m) == 1 else (1, 3) for lb in pair}
+    num, den = families.pop() if len(families) == 1 else (1, 3)
+    theta0 = math.degrees(math.acos(1.0 / math.sqrt(den / num)))   # MAGIC_ANGLE_DEG for 1/3
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
     da = a_par - a_perp
     if abs(da) <= 1e-14 * max(abs(a_par), abs(a_perp)):
         return MagicAngleReport(
             molecule_name=molecule.name, pair=tuple(pair), nu_cm=nu_cm,
-            theta0_deg=MAGIC_ANGLE_DEG, cos2_theta0=1.0 / 3.0, abar_au=abar,
+            theta0_deg=theta0, cos2_theta0=num / den, abar_au=abar,
             spread_au=0.0, crossings=tuple((float(e), None) for e in e_grid_kv_cm),
             no_common_angle=False, degenerate=True,
         )
     fields = np.asarray(e_grid_kv_cm, dtype=float)
     a_x, a_z = _alpha_effs(molecule, pair, fields, a_par, a_perp, _X_AND_Z, j_max)
-    s0, c0 = math.sin(math.radians(MAGIC_ANGLE_DEG)), math.cos(math.radians(MAGIC_ANGLE_DEG))
+    s0, c0 = math.sin(math.radians(theta0)), math.cos(math.radians(theta0))
     at_theta0 = [ax * s0 * s0 + az * c0 * c0 for ax, az in zip(a_x, a_z)]
     # difference(theta) = d_zz cos^2 + d_xx sin^2; a root needs opposite signs
     d_zz = (a_z[0] - a_z[1]).tolist()
@@ -552,8 +556,8 @@ def magic_angle(
         molecule_name=molecule.name,
         pair=tuple(pair),
         nu_cm=nu_cm,
-        theta0_deg=MAGIC_ANGLE_DEG,
-        cos2_theta0=1.0 / 3.0,
+        theta0_deg=theta0,
+        cos2_theta0=num / den,
         abar_au=abar,
         spread_au=0.0 if spread_au < tiny else spread_au,
         crossings=tuple(crossings),

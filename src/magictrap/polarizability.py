@@ -4,9 +4,10 @@ Two independent routes produce the same 3x3 tensor:
 
 * a closed form: the molecular tensor splits into an isotropic part
   abar = (a_par + 2 a_perp)/3 and an anisotropy da = a_par - a_perp, and
-  the state enters only through rank-2 geometry moments of the dressed
-  wavefunction (<C_20> on the diagonal, a <C_2,+-2> coherence coupling the
-  degenerate +M/-M pair),
+  the state enters only through one rank-2 moment of the dressed
+  wavefunction, <C_20>. It sets the diagonal, and for |M| = 1 it also fixes
+  the coherence t = <C_2,+2> = (<C_20> - 1)/sqrt(6) that couples the
+  degenerate +M/-M pair (the matrix identity is stated in ``stark``),
 * a brute-force sum over intermediate rotational states built from
   transition amplitude factors, weighting Sigma (Lambda = 0) channels by
   a_par and Pi (Lambda = +-1) channels by a_perp. The amplitudes
@@ -16,7 +17,8 @@ Two independent routes produce the same 3x3 tensor:
   row.
 
 Route agreement is the package's central correctness check; see the tests.
-The sum-over-states route never reads the closed form's moments.
+The sum-over-states route never reads <C_20>, so route agreement also
+checks the identity behind t.
 
 Degenerate |M| > 0 pairs are treated in the two-dimensional subspace
 {|+M>, |-M>}. The light's polarization selects the stationary combinations;
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import c_tensor_element, f_factor  # noqa: F401  (c_tensor_element is looked up here by external tools)
-from .stark import StarkEigensystem, StateLabel, dressed_c20, dressed_c22_coherence
+from .stark import StarkEigensystem, StateLabel, dressed_c20
 from .units import AU_POL_TO_MHZ_PER_W_CM2
 
 __all__ = [
@@ -237,7 +239,8 @@ def alpha_tensor_closed_form(
 
     The diagonal is abar - da <C_20>/3 (xx, yy) and abar + 2 da <C_20>/3
     (zz). For |M| > 0 the label must carry a +/- branch, and the coherence
-    t = <C_2,+2> adds da t K to the <+M|...|-M> block. By default the branch
+    t = (<C_20> - 1)/sqrt(6) (|M| = 1; zero otherwise) adds da t K to the
+    <+M|...|-M> block. By default the branch
     states are the conventional (|+M> +- |-M>)/sqrt(2), which is the case
     eps^T K eps* = 1; pass ``polarization`` to let the light field pick the
     stationary combinations instead (they coincide for linear polarization
@@ -255,14 +258,14 @@ def alpha_tensor_closed_form(
     if label.m != 0:
         if not label.branch:
             raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
-        t = dressed_c22_coherence(sys, label.j_tilde)
+        t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else 0.0
         e = None if polarization is None else polarization.array
         c = da * t * (1.0 if e is None else np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
         orientation = int(_branch_orientation(c, alpha_par, alpha_perp))
         degenerate = orientation == 0
         # the state is (1, w)/sqrt(2): start from (1, conj(c)/|c|), or from (1, 1)
         # when degenerate, and flip w when that is not the requested branch
-        w =np.conj(c / abs(c)) if orientation else 1.0
+        w = np.conj(c / abs(c)) if orientation else 1.0
         if _branch_sign(label.branch) * (orientation or 1) < 0:
             w = -w
         vec = np.array([1.0, w], dtype=complex) / math.sqrt(2)
@@ -379,22 +382,22 @@ def alpha_eff(tensor: PolarizabilityTensor, polarization: PolarizationVector) ->
 def alpha_eff_from_moments(
     label: StateLabel,
     c20,
-    c22,
     alpha_par: float,
     alpha_perp: float,
     polarization: PolarizationVector,
 ):
-    """alpha_eff straight from a state's rank-2 moments, vectorised over them.
+    """alpha_eff straight from a state's <C_20>, vectorised over it.
 
     Equals ``alpha_eff(alpha_tensor_closed_form(sys, label, ...,
-    polarization), polarization)`` without building tensors: ``c20`` and
-    ``c22`` are <C_20> and the |M| = 1 coherence <C_2,+2> (arrays of any
-    one shape, e.g. from ``stark.dressed_moments``); ``alpha_par`` and
-    ``alpha_perp`` may be arrays that broadcast against them. The diagonal part is
+    polarization), polarization)`` without building tensors: ``c20`` is
+    <C_20> (an array of any shape, e.g. from ``stark.dressed_moments``);
+    ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
+    The diagonal part is
     (abar - da <C_20>/3) |eps_perp|^2 + (abar + 2 da <C_20>/3) |eps_z|^2. A
-    +/- branch adds +/-|c|, c = da t (eps^T K eps*), with the sign
-    ``_branch_orientation`` gives that branch, or +/-Re c where the light
-    cannot split the pair; the tensor route reads the same rule.
+    +/- branch adds +/-|c|, where c = da t (eps^T K eps*) and the coherence
+    is t = (<C_20> - 1)/sqrt(6) for |M| = 1 and zero otherwise. The sign is
+    the one ``_branch_orientation`` gives that branch, or +/-Re c where the
+    light cannot split the pair; the tensor route reads the same rule.
     """
     abar = (alpha_par + 2.0 * alpha_perp) / 3.0
     da = alpha_par - alpha_perp
@@ -406,7 +409,8 @@ def alpha_eff_from_moments(
         return out
     if not label.branch:
         raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
-    c = da * np.asarray(c22, dtype=float) * complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+    t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else np.zeros_like(c0)
+    c = da * t * complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
     orientation = _branch_orientation(c, alpha_par, alpha_perp)
     split = np.where(orientation == 0, c.real, orientation * np.abs(c))
     return out + _branch_sign(label.branch) * split

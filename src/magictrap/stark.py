@@ -9,7 +9,12 @@ for this one-parameter family. Fields are in kV/cm throughout.
 Two calls diagonalize a block against the same cached ``_geometry`` matrices:
 ``solve`` at one field (energies in MHz, mixing rows), and ``dressed_moments``
 over a whole beta = d E / B grid (energies in units of B, and the rank-2
-moments <C_20>, <C_2,+2> that the polarizability depends on).
+moment <C_20> that the polarizability depends on).
+
+It is the only moment a state needs: as matrices over J,
+<J,+1|C_2,+2|J',-1> = (<J,1|C_20|J',1> - delta_JJ')/sqrt(6), so the coherence
+t = <J_tilde,+1|C_2,+2|J_tilde,-1> of an |M| = 1 pair is (<C_20> - 1)/sqrt(6)
+in every dressed state (and t = 0 for |M| != 1).
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "solve",
     "alignment",
     "dressed_c20",
-    "dressed_c22_coherence",
     "dressed_moments",
     "check_convergence",
 ]
@@ -116,7 +120,6 @@ class _Geometry:
     rot: np.ndarray    # diag J(J+1)
     c10: np.ndarray    # <JM|C_10|J'M>, tridiagonal
     c20: np.ndarray    # <JM|C_20|J'M>, pentadiagonal
-    c22: np.ndarray    # <J,+1|C_2,+2|J',-1>; all zero unless |M| = 1
 
 
 @lru_cache(maxsize=None)
@@ -134,10 +137,9 @@ def _geometry(m_abs: int, j_max: int) -> _Geometry:
     rot = np.diag([float(j * (j + 1)) for j in js])
     c10 = matrix(1, 0, m_abs, m_abs)
     c20 = matrix(2, 0, m_abs, m_abs)
-    c22 = matrix(2, 2, 1, -1) if m_abs == 1 else np.zeros_like(c20)
-    for a in (rot, c10, c20, c22):
+    for a in (rot, c10, c20):
         a.setflags(write=False)
-    return _Geometry(rot=rot, c10=c10, c20=c20, c22=c22)
+    return _Geometry(rot=rot, c10=c10, c20=c20)
 
 
 def _check_j_max(m: int, j_max: int) -> None:
@@ -180,27 +182,15 @@ def dressed_c20(sys: StarkEigensystem, j_tilde: int) -> float:
     return float(row @ _geometry(abs(sys.m), sys.j_max).c20 @ row)
 
 
-def dressed_c22_coherence(sys: StarkEigensystem, j_tilde: int) -> float:
-    """<J_tilde,+1|C_2,+2|J_tilde,-1>, the rank-2 coherence of an |M|=1 pair.
-
-    Zero for |M| != 1 since C_2q cannot bridge a 2|M| > 2 projection gap.
-    """
-    if abs(sys.m) != 1:
-        return 0.0
-    row = sys.amplitudes(j_tilde)
-    return float(row @ _geometry(1, sys.j_max).c22 @ row)
-
-
 def dressed_moments(m: int, betas, j_max: int = 10):
-    """Energies and rank-2 moments of every state of one M block, batched over beta.
+    """Energies and <C_20> of every state of one M block, batched over beta.
 
     Builds H/B = diag J(J+1) - beta C_10 for the whole array ``betas``
     (beta = d E / B, any shape) and diagonalizes the stack at once. Returns
-    ``(energies, c20, c22)``, each of shape ``betas.shape + (n,)`` with the
-    last axis over J_tilde = |M| .. j_max: energies in units of B, <C_20>,
-    and the |M| = 1 coherence <J_tilde,+1|C_2,+2|J_tilde,-1> (zero for
-    other |M|). Both moments are quadratic in the eigenvector, so its sign
-    convention does not enter.
+    ``(energies, c20)``, each of shape ``betas.shape + (n,)`` with the last
+    axis over J_tilde = |M| .. j_max: energies in units of B and <C_20>.
+    The moment is quadratic in the eigenvector, so its sign convention does
+    not enter.
     """
     _check_j_max(m, j_max)
     betas = np.asarray(betas, dtype=float)
@@ -208,13 +198,8 @@ def dressed_moments(m: int, betas, j_max: int = 10):
         raise ValueError("beta must be finite and >= 0")
     geo = _geometry(abs(m), j_max)
     energies, vecs = np.linalg.eigh(geo.rot - betas[..., None, None] * geo.c10)
-
-    def moment(op):
-        # column k of vecs is state k: sum_{J J'} v_Jk op_JJ' v_J'k
-        return np.sum(vecs * (op @ vecs), axis=-2)
-
-    c22 = moment(geo.c22) if abs(m) == 1 else np.zeros_like(energies)
-    return energies, moment(geo.c20), c22
+    # column k of vecs is state k: sum_{J J'} v_Jk (C_20)_JJ' v_J'k
+    return energies, np.sum(vecs * (geo.c20 @ vecs), axis=-2)
 
 
 def check_convergence(

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +90,16 @@ def test_magic_angle_output(capsys):
     code, out, _ = invoke(capsys, "magic-angle", "--molecule", "KRb")
     assert code == 0
     assert "54.7356103172" in out
+
+
+@pytest.mark.parametrize("pair, cos2, theta0", [("0,0:1,0", "1/3", "54.7356103172"),
+                                                ("1,1,+:2,1,+", "1/5", "63.4349488229"),
+                                                ("1,1,-:2,1,-", "3/7", "49.1066053509")])
+def test_magic_angle_metadata_names_the_family_angle(capsys, pair, cos2, theta0):
+    # the table columns are in the golden corpus, which runs without metadata
+    code, out, _ = invoke(capsys, "magic-angle", "--molecule", "KRb", "--pair", pair)
+    assert code == 0
+    assert {f"# theta0_deg = {theta0}", f"# cos2_theta0 = {cos2}"} <= set(out.splitlines())
 
 
 def test_lattice_json(capsys):
@@ -350,16 +362,37 @@ def test_cli_contract(argv):
         assert _nan_cells(argv, out.getvalue()) == []
 
 
-# the seven commands of the README's "Command line" section
-README_COMMANDS = [
-    ["eigen", "--molecule", "KRb", "--field", "5", "--states", "0,0:1,0:1,1"],
-    ["polar", "--molecule", "RbCs", "--field", "3", "--pol", "x", "--states", "1,1", "--intensity", "5000"],
-    ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:15", "--steps", "61", "--states", "0,0:1,0"],
-    ["find-magic-field", "--molecule", "RbCs", "--pair", "0,0:1,0"],
-    ["magic-angle", "--molecule", "KRb"],
-    ["lattice", "--delta-b", "80", "--delta-c", "160", "--f-mot", "25"],
-    ["convergence", "--molecule", "KRb", "--field", "15", "--states", "0,0:1,0:1,1"],
-]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_command_lines():
+    """The ``magictrap ...`` lines of the README's ``sh`` blocks, in order."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("magictrap ")]
+
+
+# the README is the one hand-kept list; the CI workflow must run the same lines
+README_COMMANDS = [shlex.split(line)[1:] for line in _readme_command_lines()]
+
+
+def test_readme_commands_cover_every_subcommand():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "eigen", "polar", "sweep", "find-magic-field", "magic-angle", "lattice", "convergence"}
+
+
+def test_workflow_runs_the_readme_commands():
+    lines = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    step = [line.strip() for line in lines].index("- name: README commands")
+    run_line = lines[step + 1]
+    assert run_line.strip() == "run: |"
+    indent = len(run_line) - len(run_line.lstrip())
+    script = []
+    for line in lines[step + 2:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        script.append(line.strip())
+    assert [line for line in script if line] == _readme_command_lines()
+
 
 # runs each argv of the JSON list in sys.argv[1] with every scipy import refused
 _RUN_WITHOUT_SCIPY = """
@@ -390,7 +423,7 @@ def test_commands_run_without_scipy(capsys):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     refused = json.loads(done.stdout)
-    assert [r[0] for r in refused] == [0] * 7 + [2]
+    assert [r[0] for r in refused] == [0] * len(README_COMMANDS) + [2]
     assert refused == [list(invoke(capsys, *argv)) for argv in corpus]
 
 

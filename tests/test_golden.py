@@ -65,7 +65,7 @@ def _table_corpus():
         for field in ("0", "3.3"):
             out.append(["sweep", *base, "--var", "theta", "--range", "0:90", "--steps", "19",
                         "--field", field, "--nu", "9650", *_STATES])
-        for pair in ("0,0:1,0", "0,0:2,0", "1,0:1,1,+", "1,1,+:1,1,-", "2,0:2,1,-"):
+        for pair in ("0,0:1,0", "0,0:2,0", "1,0:1,1,+", "1,1,+:1,1,-", "2,0:2,1,-", "1,1,+:2,1,+", "1,1,-:2,1,-"):
             out.append(["magic-angle", *base, "--pair", pair])
             out.append(["magic-angle", *base, "--pair", pair, "--range", "0:12", "--steps", "9",
                         "--nu", "9650"])

@@ -323,12 +323,28 @@ def test_magic_angle_branch_pair_has_no_common_angle():
     rep = magic_angle((StateLabel(0, 0), StateLabel(1, 1, "+")), KRB,
                       e_grid_kv_cm=(1.0, 3.0, 6.0))
     assert rep.no_common_angle
+    # a pair from two families is reported at cos^2 = 1/3, as before
+    assert (rep.theta0_deg, rep.cos2_theta0) == (MAGIC_ANGLE_DEG, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("pair", ["1,0:2,2,+", "2,2,+:3,2,-", "0,0:4,3,-"])
+def test_magic_angle_one_third_family_is_exactly_theta0(pair):
+    """M = 0 and |M| >= 2 states share cos^2 = 1/3, and theta0 is MAGIC_ANGLE_DEG to the bit."""
+    rep = magic_angle(tuple(StateLabel.parse(t) for t in pair.split(":")), RBCS, e_grid_kv_cm=(0.5, 2.0, 4.0))
+    assert (rep.theta0_deg, rep.cos2_theta0) == (MAGIC_ANGLE_DEG, 1.0 / 3.0)
+    assert not rep.no_common_angle
+    assert rep.spread_au == 0.0
+
+
+def test_magic_angle_refuses_a_branchless_m1_state():
+    with pytest.raises(ValueError, match="request a"):
+        magic_angle((StateLabel(1, 1), StateLabel(2, 1)), KRB)
 
 
 @pytest.mark.parametrize("branch, cos2", [("+", 1 / 5), ("-", 3 / 7)])
 @pytest.mark.parametrize("molecule", [KRB, RBCS], ids=["KRb", "RbCs"])
 def test_magic_angle_same_branch_m1_pair_has_its_family_angle(molecule, branch, cos2):
-    """Two |M| = 1 states of one branch cross at one angle at every field, not at theta0."""
+    """Two |M| = 1 states of one branch cross at their family angle at every field, and report it."""
     fields = tuple(np.linspace(0.5, 6.0, 12))
     rep = magic_angle((StateLabel(1, 1, branch), StateLabel(2, 1, branch)), molecule, e_grid_kv_cm=fields)
     family_deg = math.degrees(math.acos(math.sqrt(cos2)))
@@ -336,7 +352,10 @@ def test_magic_angle_same_branch_m1_pair_has_its_family_angle(molecule, branch, 
     for _, theta in rep.crossings:
         assert theta == pytest.approx(family_deg, abs=1e-9)
     assert not rep.no_common_angle
-    assert rep.theta0_deg == MAGIC_ANGLE_DEG
+    assert rep.theta0_deg == pytest.approx(family_deg, abs=1e-12)
+    assert rep.cos2_theta0 == pytest.approx(cos2, rel=1e-15)
+    # alpha_eff at the family angle is the same for both states at every field
+    assert rep.spread_au == 0.0
 
 
 def test_magic_angle_isotropic_molecule_degenerate():

@@ -17,7 +17,6 @@ from magictrap.polarizability import (
     alpha_eff_from_moments,
     alpha_tensor_closed_form,
     alpha_tensor_sos,
-    dressed_c22_coherence,
     stark_shift,
 )
 from magictrap.stark import StateLabel, dressed_moments, solve
@@ -279,12 +278,6 @@ def test_common_shift_covariance():
 
 # ------------------------------------------------------- branches and coherence
 
-def test_coherence_vanishes_for_m0_and_high_m():
-    assert dressed_c22_coherence(block(KRB, 3.0, 0), 1) == 0.0
-    assert dressed_c22_coherence(block(KRB, 3.0, 2), 2) == 0.0
-    assert dressed_c22_coherence(block(KRB, 3.0, 1), 1) != 0.0
-
-
 @given(
     st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
     st.sampled_from([0, 1, 2]),
@@ -297,8 +290,8 @@ def test_alpha_eff_from_moments_matches_closed_form(beta, m, dj, branch, pol_tex
     label = StateLabel(m + dj, m, branch if m else "")
     pol = PolarizationVector.parse(pol_text)
     sys = block(KRB, beta, m)
-    _, c20, c22 = dressed_moments(m, sys.beta, j_max=10)
-    got = alpha_eff_from_moments(label, c20[dj], c22[dj], A_PAR, A_PERP, pol)
+    _, c20 = dressed_moments(m, sys.beta, j_max=10)
+    got = alpha_eff_from_moments(label, c20[dj], A_PAR, A_PERP, pol)
     ref = alpha_eff(alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, pol), pol)
     assert abs(got - ref) <= 1e-13 * (A_PAR + 2 * A_PERP) / 3
 
@@ -307,16 +300,16 @@ def test_alpha_eff_from_moments_degenerate_pair_under_z():
     # z light cannot split the |M| = 1 pair; both branches keep the diagonal value
     z = PolarizationVector.z()
     sys = block(KRB, 3.0, 1)
-    _, c20, c22 = dressed_moments(1, [0.0, sys.beta], j_max=10)
+    _, c20 = dressed_moments(1, [0.0, sys.beta], j_max=10)
     for branch in ("+", "-"):
         label = StateLabel(1, 1, branch)
         tens = alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, z)
         assert tens.degenerate
-        got = alpha_eff_from_moments(label, c20[:, 0], c22[:, 0], A_PAR, A_PERP, z)
+        got = alpha_eff_from_moments(label, c20[:, 0], A_PAR, A_PERP, z)
         assert got.shape == (2,)
         assert abs(got[1] - alpha_eff(tens, z)) <= 1e-13 * (A_PAR + 2 * A_PERP) / 3
     with pytest.raises(ValueError):
-        alpha_eff_from_moments(StateLabel(1, 1), c20[:, 0], c22[:, 0], A_PAR, A_PERP, z)
+        alpha_eff_from_moments(StateLabel(1, 1), c20[:, 0], A_PAR, A_PERP, z)
 
 
 def test_branchless_request_for_degenerate_pair_fails():

@@ -13,7 +13,6 @@ from magictrap.stark import (
     alignment,
     check_convergence,
     dressed_c20,
-    dressed_c22_coherence,
     dressed_moments,
     solve,
 )
@@ -268,19 +267,18 @@ def test_eigensystem_properties_random_field(beta, m):
 )
 @settings(max_examples=40, deadline=None)
 def test_dressed_moments_match_per_field_solve(betas, m):
-    energies, c20, c22 = dressed_moments(m, betas, j_max=10)
+    energies, c20 = dressed_moments(m, betas, j_max=10)
     for i, beta in enumerate(betas):
         sys = solve(KRB, KRB.field_for_beta(beta), m, j_max=10)
         ref = sys.energies / KRB.b_mhz
         assert np.max(np.abs(energies[i] - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
         for k, jt in enumerate(sys.j_values):
             assert c20[i, k] == pytest.approx(dressed_c20(sys, jt), rel=0, abs=1e-13)
-            assert c22[i, k] == pytest.approx(dressed_c22_coherence(sys, jt), rel=0, abs=1e-13)
 
 
 def test_dressed_moments_field_free_c20():
     for m in (0, 1, 2):
-        energies, c20, _ = dressed_moments(m, 0.0, j_max=10)
+        energies, c20 = dressed_moments(m, 0.0, j_max=10)
         js = np.arange(m, 11)
         assert np.array_equal(energies, js * (js + 1.0))
         ref = (js * (js + 1) - 3 * m ** 2) / ((2 * js - 1) * (2 * js + 3))
@@ -288,11 +286,37 @@ def test_dressed_moments_field_free_c20():
 
 
 def test_dressed_moments_shapes_and_validation():
-    energies, c20, c22 = dressed_moments(1, np.zeros((3, 4)), j_max=10)
-    assert energies.shape == c20.shape == c22.shape == (3, 4, 10)
-    assert dressed_moments(2, [1.0], j_max=10)[2].tolist() == [[0.0] * 9]
+    energies, c20 = dressed_moments(1, np.zeros((3, 4)), j_max=10)
+    assert energies.shape == c20.shape == (3, 4, 10)
+    assert [a.shape for a in dressed_moments(2, [1.0], j_max=10)] == [(1, 9), (1, 9)]
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             dressed_moments(0, [1.0, bad])
     with pytest.raises(ValueError):
         dressed_moments(2, 1.0, j_max=4)
+
+
+def _c_element_exact(k, q, j, m, jp, mp):
+    """<j m|C_kq|j' m'> as an exact sympy number, from sympy's own 3-j symbols."""
+    from sympy import sqrt
+    from sympy.physics.wigner import wigner_3j
+
+    return (-1) ** m * sqrt((2 * j + 1) * (2 * jp + 1)) * wigner_3j(j, k, jp, 0, 0, 0) * wigner_3j(j, k, jp, -m, q, mp)
+
+
+def test_m1_coherence_identity_exact():
+    """<J,+1|C_2,+2|J',-1> = (<J,1|C_20|J',1> - delta_JJ')/sqrt(6) for every J, J' <= 12.
+
+    This is why a dressed |M| = 1 state needs no second moment: its coherence
+    is t = (<C_20> - 1)/sqrt(6). Checked in exact arithmetic, independently of
+    the package's 3-j code.
+    """
+    from sympy import sqrt
+
+    nonzero = 0
+    for j in range(1, 13):
+        for jp in range(1, 13):
+            coherence = _c_element_exact(2, 2, j, 1, jp, -1)
+            assert coherence == (_c_element_exact(2, 0, j, 1, jp, 1) - int(j == jp)) / sqrt(6), (j, jp)
+            nonzero += coherence != 0
+    assert nonzero == 12 + 2 * 10    # the diagonal and |J - J'| = 2; parity kills |J - J'| = 1
