@@ -243,7 +243,7 @@ def _cmd_eigen(args) -> str:
     systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in labels}}
     columns = [
         Column("state", "1", [str(lb) for lb in labels]),
-        Column("E", "MHz", [systems[abs(lb.m)].energy(lb.j_tilde) for lb in labels]),
+        Column("E", "MHz", [float(systems[abs(lb.m)].energies[lb.j_tilde - abs(lb.m)]) for lb in labels]),
         Column("alignment_cos2", "1", [stark.alignment(systems[abs(lb.m)], lb.j_tilde) for lb in labels]),
     ]
     return _render(args, mol, columns, E_dc_kv_cm=f"{args.field:.12g}", beta=f"{mol.beta(args.field):.12g}",
@@ -365,8 +365,8 @@ def _cmd_lattice(args) -> str:
 
 def _cmd_convergence(args) -> str:
     mol = load_molecule(args.molecule)
-    rel = np.array([stark.check_convergence(mol, args.field, abs(lb.m), lb.j_tilde, args.jmax)
-                    for lb in args.states])
+    blocks = {m: stark.check_convergence(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in args.states}}
+    rel = np.array([blocks[abs(lb.m)][lb.j_tilde - abs(lb.m)] for lb in args.states])
     columns = [
         Column("state", "1", [str(lb) for lb in args.states]),
         Column("rel_change", "1", rel),

@@ -171,7 +171,7 @@ def validate_plan(plan: LatticePlan) -> list:
     return problems
 
 
-def plan_to_json(plan: LatticePlan, indent: int = 1) -> str:
+def plan_to_json(plan: LatticePlan) -> str:
     doc = {
         "cos_theta0": COS_THETA0,
         "f_mot_hz": plan.f_mot_hz,
@@ -191,4 +191,4 @@ def plan_to_json(plan: LatticePlan, indent: int = 1) -> str:
         "violations": validate_plan(plan),
     }
     # allow_nan=False: a frequency that overflowed to inf is an error, not "Infinity"
-    return json.dumps(doc, indent=indent, allow_nan=False)
+    return json.dumps(doc, indent=1, allow_nan=False)

@@ -355,8 +355,8 @@ def find_magic_fields(
     lo, hi = float(e_range[0]), float(e_range[1])
     if not lo < hi:
         raise ValueError("need e_range[0] < e_range[1]")
-    if lo < 0:
-        raise ValueError("fields must be >= 0")
+    if lo < 0 or hi == math.inf:
+        raise ValueError(f"e_range must lie in [0, inf), got {lo:g}:{hi:g}")
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points}")
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
@@ -445,19 +445,18 @@ def magic_field_polarization_invariance(
     e_range=(0.0, 15.0),
     nu_cm: float = 9174.0,
     j_max: int = 10,
-    thetas_deg=(15.0, 30.0, MAGIC_ANGLE_DEG, 75.0),
 ) -> PolarizationInvarianceReport:
-    """E* of an M=0 pair across z, x and a grid of linear polarizations.
+    """E* of an M=0 pair across z, x and linear polarizations at 15, 30, 54.7 and 75 deg.
 
-    The magic-angle polarization is deliberately in the default grid: there
-    the difference vanishes identically and the entry is flagged degenerate
-    instead of reporting a spurious root.
+    The magic angle is deliberately among them: there the difference
+    vanishes identically and the entry is flagged degenerate instead of
+    reporting a spurious root.
     """
     state_a, state_b = pair
     if state_a.m != 0 or state_b.m != 0:
         raise ValueError("polarization invariance holds for M = 0 pairs only")
     pols = [("z", PolarizationVector.z()), ("x", PolarizationVector.x())]
-    pols += [(f"theta:{t:.10g}", PolarizationVector.linear_deg(t)) for t in thetas_deg]
+    pols += [(f"theta:{t:.10g}", PolarizationVector.linear_deg(t)) for t in (15.0, 30.0, MAGIC_ANGLE_DEG, 75.0)]
     entries = []
     found = []
     for text, pol in pols:
@@ -507,7 +506,8 @@ def magic_angle(
     state of the family has the same alpha_eff at every field: cos^2 theta0 =
     1/3 for M = 0 and |M| >= 2, 1/5 and 3/7 for the |M| = 1 ``+`` and ``-``
     branches. A pair from two families is flagged and reported at 1/3. The
-    crossing angle of the pair's curves is located at every grid field.
+    crossing angle of the pair's curves is located at every grid field; the two
+    branches of one |M| = 1 state meet only at theta = 0, which is no crossing.
     """
     # the coefficient is da (3 cos^2 - 1)/3, plus +-da sin^2/6 through t = (<C_20> - 1)/sqrt(6)
     # for an |M| = 1 branch (a branchless one is refused by alpha_eff_from_moments)
@@ -532,6 +532,8 @@ def magic_angle(
     d_zz = (a_z[0] - a_z[1]).tolist()
     d_xx = (a_x[0] - a_x[1]).tolist()
     tiny = 1e-12 * max(abs(abar), 1e-300)
+    # z light (theta = 0) cannot split the two branches of one state: their meeting there is no crossing
+    branches_of_one_state = pair[0].m != 0 and len({(lb.j_tilde, abs(lb.m)) for lb in pair}) == 1
     crossings = []
     missing = 0
     for e_dc, dz, dx in zip(fields.tolist(), d_zz, d_xx):
@@ -541,7 +543,7 @@ def magic_angle(
         if dz == dx == 0.0:
             # equal at every angle at this field; uninformative for commonality
             crossings.append((e_dc, None))
-        elif dz * dx > 0.0:
+        elif dz * dx > 0.0 or (branches_of_one_state and dz == 0.0):
             crossings.append((e_dc, None))
             missing += 1
         else:

@@ -158,10 +158,6 @@ class PolarizabilityTensor:
     """
 
     matrix: np.ndarray
-    state: StateLabel
-    beta: float
-    alpha_par: float
-    alpha_perp: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -196,9 +192,6 @@ class StarkShift:
 
     delta_e_mhz: float
     alpha_eff_au: float
-    intensity_w_cm2: float
-    polarization: PolarizationVector
-    state: StateLabel
 
 
 def _branch_sign(branch: str) -> int:
@@ -271,10 +264,7 @@ def alpha_tensor_closed_form(
         vec = np.array([1.0, w], dtype=complex) / math.sqrt(2)
         cross = np.conj(vec[0]) * vec[1] * da * t * _K_COHERENCE
         matrix = matrix + cross + cross.conj().T
-    return PolarizabilityTensor(
-        matrix=matrix, state=label, beta=sys.beta,
-        alpha_par=alpha_par, alpha_perp=alpha_perp, degenerate=degenerate,
-    )
+    return PolarizabilityTensor(matrix=matrix, degenerate=degenerate)
 
 
 @lru_cache(maxsize=None)
@@ -366,10 +356,7 @@ def alpha_tensor_sos(
     amp = table.amp @ sys.amplitudes(label.j_tilde)
     weight = np.where(table.lam == 0, alpha_par, alpha_perp)
     matrix = np.einsum("k,ka,kb->ab", weight, amp, amp.conj())
-    return PolarizabilityTensor(
-        matrix=matrix, state=label, beta=sys.beta,
-        alpha_par=alpha_par, alpha_perp=alpha_perp,
-    )
+    return PolarizabilityTensor(matrix=matrix)
 
 
 def alpha_eff(tensor: PolarizabilityTensor, polarization: PolarizationVector) -> float:
@@ -425,10 +412,4 @@ def stark_shift(
     if intensity_w_cm2 < 0:
         raise ValueError("intensity must be >= 0")
     a_eff = alpha_eff(tensor, polarization)
-    return StarkShift(
-        delta_e_mhz=-a_eff * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2,
-        alpha_eff_au=a_eff,
-        intensity_w_cm2=intensity_w_cm2,
-        polarization=polarization,
-        state=tensor.state,
-    )
+    return StarkShift(delta_e_mhz=-a_eff * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2, alpha_eff_au=a_eff)

@@ -6,12 +6,15 @@ by J_tilde (the field-free J they connect to adiabatically); within a block
 that is simply ascending-energy order, since avoided crossings never close
 for this one-parameter family. Fields are in kV/cm throughout.
 
-Two calls diagonalize a block against the same cached ``_geometry`` matrices:
-``solve`` at one field (energies in MHz, mixing rows), and ``dressed_moments``
-over a whole beta = d E / B grid (energies in units of B, and the rank-2
-moment <C_20> that the polarizability depends on).
+One routine, ``_eigh``, diagonalizes diag - x C_10 over a stack of couplings
+x against the cached ``_geometry`` matrices, and refuses a coupling that is
+not finite and >= 0 before LAPACK sees it. ``solve`` calls it at one field in
+MHz (diag (B J)(J+1), x = d E; mixing rows), ``dressed_moments`` over a grid
+of beta = d E / B in units of B (x = beta; energies and the rank-2 moment
+<C_20>). The units stay apart: B times the cached J(J+1) rounds differently
+from (B J)(J+1), and ``convergence`` prints a difference of nearly equal energies.
 
-It is the only moment a state needs: as matrices over J,
+<C_20> is the only moment a state needs: as matrices over J,
 <J,+1|C_2,+2|J',-1> = (<J,1|C_20|J',1> - delta_JJ')/sqrt(6), so the coherence
 t = <J_tilde,+1|C_2,+2|J_tilde,-1> of an |M| = 1 pair is (<C_20> - 1)/sqrt(6)
 in every dressed state (and t = 0 for |M| != 1).
@@ -88,26 +91,13 @@ class StarkEigensystem:
 
     m: int
     j_max: int
-    b_mhz: float
-    de_mhz: float
     energies: np.ndarray
     u: np.ndarray
-
-    @property
-    def beta(self) -> float:
-        return self.de_mhz / self.b_mhz
-
-    @property
-    def j_values(self) -> range:
-        return range(abs(self.m), self.j_max + 1)
 
     def index_of(self, j_tilde: int) -> int:
         if not abs(self.m) <= j_tilde <= self.j_max:
             raise ValueError(f"J_tilde = {j_tilde} outside block |M| = {abs(self.m)}, J_max = {self.j_max}")
         return j_tilde - abs(self.m)
-
-    def energy(self, j_tilde: int) -> float:
-        return float(self.energies[self.index_of(j_tilde)])
 
     def amplitudes(self, j_tilde: int) -> np.ndarray:
         return self.u[self.index_of(j_tilde)]
@@ -147,6 +137,16 @@ def _check_j_max(m: int, j_max: int) -> None:
         raise ValueError(f"j_max must be >= |m| + 3 (got j_max = {j_max}, m = {m})")
 
 
+def _eigh(diag, c10, x, name):
+    """Eigenvalues and eigenvector columns of diag - x C_10 for each coupling in ``x``.
+
+    A coupling that is not finite and >= 0 raises ValueError naming ``name``."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    return np.linalg.eigh(diag - x[..., None, None] * c10)
+
+
 def solve(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> StarkEigensystem:
     """Diagonalize the M block at DC field ``e_dc_kv_cm``.
 
@@ -154,17 +154,17 @@ def solve(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> Sta
     j_max >= |m| + 3 so every retained state has mixing headroom.
     """
     _check_j_max(m, j_max)
-    if e_dc_kv_cm < 0:
-        raise ValueError("E_dc must be >= 0")
-    de_mhz = spec.d00_debye * e_dc_kv_cm * DEBYE_KVCM_TO_MHZ
+    if e_dc_kv_cm < 0:   # with d00 = 0 the coupling would be -0.0, which _eigh accepts
+        raise ValueError("E_dc must be finite and >= 0")
     js = np.arange(abs(m), j_max + 1)
-    energies, vecs = np.linalg.eigh(np.diag(spec.b_mhz * js * (js + 1)) - de_mhz * _geometry(abs(m), j_max).c10)
+    energies, vecs = _eigh(np.diag(spec.b_mhz * js * (js + 1)), _geometry(abs(m), j_max).c10,
+                           spec.d00_debye * e_dc_kv_cm * DEBYE_KVCM_TO_MHZ, "E_dc")
     # column k of vecs is state k; flip it so its largest-magnitude entry is positive
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(js))]
     u = (vecs * np.where(peak < 0.0, -1.0, 1.0)).T.copy()
     energies.setflags(write=False)
     u.setflags(write=False)
-    return StarkEigensystem(m=m, j_max=j_max, b_mhz=spec.b_mhz, de_mhz=de_mhz, energies=energies, u=u)
+    return StarkEigensystem(m=m, j_max=j_max, energies=energies, u=u)
 
 
 def alignment(sys: StarkEigensystem, j_tilde: int) -> float:
@@ -193,27 +193,19 @@ def dressed_moments(m: int, betas, j_max: int = 10):
     not enter.
     """
     _check_j_max(m, j_max)
-    betas = np.asarray(betas, dtype=float)
-    if not np.all(np.isfinite(betas) & (betas >= 0)):
-        raise ValueError("beta must be finite and >= 0")
     geo = _geometry(abs(m), j_max)
-    energies, vecs = np.linalg.eigh(geo.rot - betas[..., None, None] * geo.c10)
+    energies, vecs = _eigh(geo.rot, geo.c10, betas, "beta")
     # column k of vecs is state k: sum_{J J'} v_Jk (C_20)_JJ' v_J'k
     return energies, np.sum(vecs * (geo.c20 @ vecs), axis=-2)
 
 
-def check_convergence(
-    spec: MoleculeSpec,
-    e_dc_kv_cm: float,
-    m: int,
-    j_tilde: int,
-    j_max: int = 10,
-) -> float:
-    """Relative energy change for one state between j_max and j_max + 4.
+def check_convergence(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> np.ndarray:
+    """Relative energy change of every state of the M block between j_max and j_max + 4.
 
-    The reference scale is max(|E at j_max + 4|, B): energies cross zero as
-    the field sweeps, and B is the natural floor for the block.
+    Entry k is the state J_tilde = |M| + k. Two diagonalizations serve the
+    whole block. The reference scale is max(|E at j_max + 4|, B): energies
+    cross zero as the field sweeps, and B is the natural floor for the block.
     """
-    e_lo = solve(spec, e_dc_kv_cm, m, j_max).energy(j_tilde)
-    e_hi = solve(spec, e_dc_kv_cm, m, j_max + 4).energy(j_tilde)
-    return abs(e_lo - e_hi) / max(abs(e_hi), spec.b_mhz)
+    e_lo = solve(spec, e_dc_kv_cm, m, j_max).energies
+    e_hi = solve(spec, e_dc_kv_cm, m, j_max + 4).energies[:len(e_lo)]
+    return np.abs(e_lo - e_hi) / np.maximum(np.abs(e_hi), spec.b_mhz)

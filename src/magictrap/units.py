@@ -81,10 +81,6 @@ class MoleculeSpec:
                 f"alpha table frequency grid must be strictly increasing (molecule {self.name!r})"
             )
 
-    @property
-    def b_ghz(self) -> float:
-        return self.b_mhz / 1e3
-
     def beta(self, e_dc_kv_cm: float) -> float:
         """Dimensionless Stark parameter d*E/B."""
         return self.d00_debye * e_dc_kv_cm * DEBYE_KVCM_TO_MHZ / self.b_mhz

@@ -164,8 +164,8 @@ def test_06_perturbation_theory_residual_slope():
             sys = solve(KRB, e_dc, 0, j_max=12)
             pt0 = -de ** 2 / (6.0 * KRB.b_mhz)
             pt1 = 2.0 * KRB.b_mhz + de ** 2 / (10.0 * KRB.b_mhz)
-            resid[(0, 0)].append(abs(sys.energy(0) - pt0))
-            resid[(1, 0)].append(abs(sys.energy(1) - pt1))
+            resid[(0, 0)].append(abs(sys.energies[0] - pt0))
+            resid[(1, 0)].append(abs(sys.energies[1] - pt1))
         for key, r in resid.items():
             slope = np.polyfit(np.log(betas), np.log(r), 1)[0]
             assert abs(slope - 4.0) <= 0.2, (key, slope)
@@ -176,7 +176,7 @@ def test_07_basis_convergence_10_vs_14():
         a_par, a_perp = alpha_lambda_at(KRB, NU)
         for e_dc in (0.0, 5.0, 10.0, 15.0):
             for m, jt in ((0, 0), (0, 1), (1, 1)):
-                assert check_convergence(KRB, e_dc, m, jt, j_max=10) < 1e-8
+                assert check_convergence(KRB, e_dc, m, j_max=10)[jt - m] < 1e-8
                 label = StateLabel(jt, m) if m == 0 else StateLabel(jt, m, "+")
                 t10 = alpha_tensor_closed_form(
                     solve(KRB, e_dc, m, j_max=10), label, a_par, a_perp

@@ -1,6 +1,7 @@
 """Root finding for magic fields and the universal magic angle."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -336,6 +337,29 @@ def test_magic_angle_one_third_family_is_exactly_theta0(pair):
     assert rep.spread_au == 0.0
 
 
+@pytest.mark.parametrize("pair", ["1,1,+:1,1,-", "2,1,-:2,-1,+"])
+@pytest.mark.parametrize("molecule", [KRB, RBCS], ids=["KRb", "RbCs"])
+def test_magic_angle_branches_of_one_m1_state_have_no_crossing(molecule, pair):
+    """The branches meet only at theta = 0, where z light cannot split them: no crossing there."""
+    labels = tuple(StateLabel.parse(t) for t in pair.split(":"))
+    rep = magic_angle(labels, molecule, e_grid_kv_cm=(0.0, 1.5, 4.0))
+    assert [angle for _, angle in rep.crossings] == [None, None, None]
+    assert rep.no_common_angle
+    assert (rep.theta0_deg, rep.cos2_theta0) == (MAGIC_ANGLE_DEG, 1.0 / 3.0)
+    assert rep.spread_au > 0.0
+    # the pair does split away from theta = 0
+    a_par, a_perp = alpha_lambda_at(molecule, 9174.0)
+    (a,), (b,) = (_alpha_effs_theta(molecule, [lb], 1.5, a_par, a_perp, [0.0, 30.0], 10) for lb in labels)
+    assert a[0] == b[0] and a[1] != b[1]
+
+
+def test_magic_angle_branches_of_one_m2_state_stay_equal_at_every_angle():
+    rep = magic_angle((StateLabel(2, 2, "+"), StateLabel(2, 2, "-")), KRB, e_grid_kv_cm=(0.0, 3.0))
+    assert [angle for _, angle in rep.crossings] == [None, None]
+    assert not rep.no_common_angle
+    assert rep.spread_au == 0.0
+
+
 def test_magic_angle_refuses_a_branchless_m1_state():
     with pytest.raises(ValueError, match="request a"):
         magic_angle((StateLabel(1, 1), StateLabel(2, 1)), KRB)
@@ -391,6 +415,15 @@ def test_theta_identity_matches_closed_form_tensor(beta, m, dj, branch, thetas):
     tens = alpha_tensor_closed_form(solve(RBCS, field, m, 10), label, a_par, a_perp)
     want = [alpha_eff(tens, PolarizationVector.linear_deg(t)) for t in thetas]
     assert np.max(np.abs(got - want)) <= 1e-13 * (a_par + 2 * a_perp) / 3
+
+
+@pytest.mark.parametrize("e_range", [(0.0, math.inf), (-1.0, 5.0), (-math.inf, 5.0)])
+def test_find_magic_fields_refuses_a_range_outside_zero_to_inf(e_range):
+    """One ValueError that names the range, before numpy warns about it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="e_range must lie in"):
+            find_magic_fields(KRB, GROUND_PAIR, Z, e_range=e_range)
 
 
 def test_sweep_grid_validation():

@@ -161,7 +161,7 @@ def _sos_loop_reference(sys, label, alpha_par, alpha_perp):
     for lam, j_e, m_e in _intermediate_states(sys.j_max + 1):
         amp = np.array([
             sum(row[i] * f_factor(j_e, m_e, lam, j, m, branch=branch, sigma=sigma)
-                for i, j in enumerate(sys.j_values))
+                for i, j in enumerate(range(m, sys.j_max + 1)))
             for sigma in ("x", "y", "z")
         ])
         matrix += (alpha_par if lam == 0 else alpha_perp) * np.outer(amp, amp.conj())
@@ -260,7 +260,7 @@ def test_block_zz_sum_is_field_independent():
         for beta in (0.0, 5.0):
             sys = block(RBCS, beta, m)
             total = 0.0
-            for jt in sys.j_values:
+            for jt in range(m, sys.j_max + 1):
                 label = StateLabel(jt, m) if m == 0 else StateLabel(jt, m, "+")
                 total += alpha_tensor_closed_form(sys, label, A_PAR, A_PERP).zz
             sums.append(total)
@@ -290,7 +290,7 @@ def test_alpha_eff_from_moments_matches_closed_form(beta, m, dj, branch, pol_tex
     label = StateLabel(m + dj, m, branch if m else "")
     pol = PolarizationVector.parse(pol_text)
     sys = block(KRB, beta, m)
-    _, c20 = dressed_moments(m, sys.beta, j_max=10)
+    _, c20 = dressed_moments(m, KRB.beta(KRB.field_for_beta(beta)), j_max=10)
     got = alpha_eff_from_moments(label, c20[dj], A_PAR, A_PERP, pol)
     ref = alpha_eff(alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, pol), pol)
     assert abs(got - ref) <= 1e-13 * (A_PAR + 2 * A_PERP) / 3
@@ -300,7 +300,7 @@ def test_alpha_eff_from_moments_degenerate_pair_under_z():
     # z light cannot split the |M| = 1 pair; both branches keep the diagonal value
     z = PolarizationVector.z()
     sys = block(KRB, 3.0, 1)
-    _, c20 = dressed_moments(1, [0.0, sys.beta], j_max=10)
+    _, c20 = dressed_moments(1, [0.0, KRB.beta(KRB.field_for_beta(3.0))], j_max=10)
     for branch in ("+", "-"):
         label = StateLabel(1, 1, branch)
         tens = alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, z)

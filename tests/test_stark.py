@@ -1,6 +1,8 @@
 """DC-field rotor blocks against quadrature references and closed identities."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,7 +76,7 @@ def test_solve_coupling_entry():
     assert h[0, 2] == 0.0
     assert h[0, 3] == 0.0
     sys = solve(KRB, e, 0, j_max=6)
-    assert sys.de_mhz == pytest.approx(de, rel=1e-15)
+    assert np.allclose(sys.energies, np.linalg.eigvalsh(h), rtol=0, atol=1e-9 * np.max(np.abs(sys.energies)))
     recon = sys.u @ h @ sys.u.T
     assert np.max(np.abs(recon - np.diag(sys.energies))) < 1e-9 * np.max(np.abs(sys.energies))
 
@@ -82,7 +84,10 @@ def test_solve_coupling_entry():
 def test_solve_m_offset():
     sys = solve(KRB, 5.0, 2, j_max=8)
     assert sys.energies.shape == (7,)       # J runs 2..8
-    assert list(sys.j_values) == list(range(2, 9))
+    assert (sys.index_of(2), sys.index_of(8)) == (0, 6)
+    for outside in (1, 9):
+        with pytest.raises(ValueError):
+            sys.index_of(outside)
 
 
 def test_solve_validation():
@@ -105,7 +110,6 @@ def test_field_free_eigensystem():
     js = np.arange(0, 9)
     assert np.allclose(sys.energies, KRB.b_mhz * js * (js + 1), rtol=1e-14)
     assert np.allclose(sys.u, np.eye(9))
-    assert sys.beta == 0.0
 
 
 def test_energies_match_quadrature_reference():
@@ -125,7 +129,7 @@ def test_perturbative_quadratic_shift():
     de = RBCS.d00_debye * e * DEBYE_KVCM_TO_MHZ
     for (j, m) in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]:
         sys = solve(RBCS, e, m, j_max=12)
-        e_num = sys.energy(j)
+        e_num = sys.energies[sys.index_of(j)]
         e_pt = RBCS.b_mhz * j * (j + 1) + oracles.pt_c2(j, m) * de ** 2 / RBCS.b_mhz
         # residual is quartic: c4 beta^4 B with c4 = O(1e-2)
         assert abs(e_num - e_pt) < 1e-4 * RBCS.b_mhz, (j, m)
@@ -190,7 +194,7 @@ def test_alignment_matches_quadrature():
         e = KRB.field_for_beta(beta)
         for m, jt in [(0, 0), (0, 1), (1, 1), (1, 2)]:
             sys = solve(KRB, e, m, j_max=10)
-            ref = oracles.quad_alignment(sys.amplitudes(jt), list(sys.j_values), m)
+            ref = oracles.quad_alignment(sys.amplitudes(jt), list(range(m, 11)), m)
             assert alignment(sys, jt) == pytest.approx(ref, abs=1e-9)
 
 
@@ -223,21 +227,63 @@ def test_alignment_bounds():
 
 
 def test_check_convergence_field_free():
-    assert check_convergence(KRB, 0.0, 0, 0, j_max=10) == pytest.approx(0.0, abs=1e-15)
+    assert check_convergence(KRB, 0.0, 0, j_max=10)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_check_convergence_working_range():
     # KRb at 15 kV/cm (beta ~ 3.84): low states fully converged at j_max = 10
     for m, jt in [(0, 0), (0, 1), (1, 1)]:
-        assert check_convergence(KRB, 15.0, m, jt, j_max=10) < 1e-8
+        assert check_convergence(KRB, 15.0, m, j_max=10)[jt - m] < 1e-8
 
 
 def test_check_convergence_flags_high_states():
     # beta = 20 pushes population to high J; a state near the basis edge
     # must report a large relative change rather than silently truncate
-    e = KRB.field_for_beta(20.0)
-    assert check_convergence(KRB, e, 0, 9, j_max=10) > 1e-8
-    assert check_convergence(KRB, e, 0, 0, j_max=10) < 1e-8
+    rel = check_convergence(KRB, KRB.field_for_beta(20.0), 0, j_max=10)
+    assert rel[9] > 1e-8
+    assert rel[0] < 1e-8
+
+
+@pytest.mark.parametrize("m", [0, 1, -2])
+def test_check_convergence_covers_the_block_per_state(m):
+    """Entry k is state J_tilde = |M| + k, bitwise the old one-state formula."""
+    rel = check_convergence(RBCS, 7.5, m, j_max=11)
+    lo, hi = solve(RBCS, 7.5, m, 11).energies, solve(RBCS, 7.5, m, 15).energies
+    assert rel.shape == (12 - abs(m),)
+    for k in range(len(rel)):
+        e_lo, e_hi = float(lo[k]), float(hi[k])
+        assert rel[k] == abs(e_lo - e_hi) / max(abs(e_hi), RBCS.b_mhz)
+
+
+@pytest.mark.parametrize("field", [float("nan"), float("inf"), -1.0])
+def test_bad_field_is_refused_before_lapack(field, monkeypatch):
+    """One ValueError that names the field, no warning, and no eigh call."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve(KRB, field, 0), lambda: check_convergence(KRB, field, 1)):
+            with pytest.raises(ValueError, match="E_dc must be finite and >= 0"):
+                call()
+
+
+def test_solve_keeps_its_mhz_diagonal():
+    """solve builds diag (B J)(J+1) in MHz, not B times the cached J(J+1); the two round differently."""
+    for spec, m, e in ((KRB, 0, 15.0), (RBCS, 1, 2.5), (KRB, 3, 30.0)):
+        js = np.arange(abs(m), 15)
+        de = spec.d00_debye * e * DEBYE_KVCM_TO_MHZ
+        h = np.diag(spec.b_mhz * js * (js + 1)) - de * np.array(
+            [[c_tensor_element(1, 0, j, m, jp, m) for jp in js] for j in js])
+        assert np.array_equal(solve(spec, e, m, 14).energies, np.linalg.eigh(h)[0])
+
+
+def test_one_eigh_call_site():
+    src = Path(__file__).resolve().parents[1] / "src" / "magictrap"
+    sites = [line for path in sorted(src.glob("*.py")) for line in path.read_text().splitlines()
+             if "linalg.eigh" in line]
+    assert len(sites) == 1, sites
 
 
 @given(
@@ -272,8 +318,8 @@ def test_dressed_moments_match_per_field_solve(betas, m):
         sys = solve(KRB, KRB.field_for_beta(beta), m, j_max=10)
         ref = sys.energies / KRB.b_mhz
         assert np.max(np.abs(energies[i] - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
-        for k, jt in enumerate(sys.j_values):
-            assert c20[i, k] == pytest.approx(dressed_c20(sys, jt), rel=0, abs=1e-13)
+        for k in range(len(sys.energies)):
+            assert c20[i, k] == pytest.approx(dressed_c20(sys, abs(m) + k), rel=0, abs=1e-13)
 
 
 def test_dressed_moments_field_free_c20():
