@@ -23,9 +23,12 @@ outer product of one kernel result under both. Theta grids, fig2's z and x
 panels and the magic angle share one diagonalization per |M| block.
 
 Magic fields come from one batched scan of the same kernel; sign changes
-between nodes are refined by Brent's method on it, one field at a time, and
-a node where the difference is zero to within 1e-10 abar is itself a root. A
-difference that is ~0 on most nodes (the magic angle) is degenerate instead.
+between nodes are refined by Brent's method on it, and a node where the
+difference is zero to within 1e-10 abar is itself a root. A search evaluates
+each field at most once: Brent's ends are scan nodes and its root is a point
+it has already evaluated, so only its interior steps call the kernel again,
+one field per call. A difference that is ~0 on most nodes (the magic angle)
+is degenerate instead.
 ``_brent`` ports SciPy's ``brentq`` with bitwise the same roots and step
 counts, so the package needs numpy alone at run time.
 """
@@ -281,6 +284,9 @@ def _brent(f, a, b, xtol, rtol, maxiter=100):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
+    # numpy-float tolerances would turn the iterate into a numpy scalar, whose
+    # 0 * inf in _div warns where brentq's C doubles are silent
+    xtol, rtol = float(xtol), float(rtol)
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
     fpre = call(xpre)
@@ -347,9 +353,11 @@ def find_magic_fields(
     ``stark.dressed_moments`` call per |M| block covers every scan node at
     beta = d E / B, and Brent refinement of each bracketed sign change, to
     a relative field tolerance well below 1e-8, evaluates the same kernel
-    one field at a time. Raises NoCrossingError when the difference keeps
-    one sign, DegenerateDifferenceError when it is identically ~0 over most
-    of the range (e.g. magic-angle polarization).
+    at one new field per step. No field is evaluated twice in a search:
+    Brent's ends and the alpha_eff values reported at the root come from the
+    scan or from Brent's own steps. Raises NoCrossingError when the
+    difference keeps one sign, DegenerateDifferenceError when it is
+    identically ~0 over most of the range (e.g. magic-angle polarization).
     """
     state_a, state_b = pair
     lo, hi = float(e_range[0]), float(e_range[1])
@@ -362,15 +370,26 @@ def find_magic_fields(
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
 
-    def alphas(e_dc):
+    def kernel(e_dc):
         return _alpha_effs(molecule, pair, e_dc, a_par, a_perp, (polarization,), j_max)[0]
+
+    grid = np.linspace(lo, hi, scan_points)
+    scan_a, scan_b = kernel(grid)
+    vals = scan_a - scan_b
+    # every field is evaluated once per search: a node evaluated alone gives
+    # bitwise its scan value, so Brent's ends and the closing report read the
+    # scan, and Brent's root is always a point it has already evaluated
+    seen = dict(zip(grid.tolist(), zip(scan_a.tolist(), scan_b.tolist())))
+
+    def alphas(e_dc):
+        if e_dc not in seen:
+            a, b = kernel(e_dc)
+            seen[e_dc] = (float(a), float(b))
+        return seen[e_dc]
 
     def diff(e_dc):
         a, b = alphas(e_dc)
         return a - b
-
-    grid = np.linspace(lo, hi, scan_points)
-    vals = diff(grid)
 
     near_zero = np.abs(vals) < _DEGENERATE_RTOL * abs(abar)
     if np.count_nonzero(near_zero) > 0.5 * scan_points:
@@ -405,8 +424,8 @@ def find_magic_fields(
                 beta_star=molecule.beta(float(root)),
                 bracket=(a, b),
                 achieved_tol=tol,
-                alpha_eff_at_root=float(alpha_a),
-                alpha_diff_at_root=float(alpha_a - alpha_b),
+                alpha_eff_at_root=alpha_a,
+                alpha_diff_at_root=alpha_a - alpha_b,
             )
         )
     if not reports:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,6 +128,13 @@ class PolarizationVector:
             f"cannot parse polarization {text!r}; expected z, x, theta:<deg>, sigma+ or sigma-"
         )
 
+    @cached_property
+    def _factors(self):
+        """|eps_perp|^2, |eps_z|^2 and eps^T K eps*: all that ``alpha_eff_from_moments`` reads of the light."""
+        e = self.array
+        w = np.abs(e) ** 2
+        return w[0] + w[1], w[2], complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+
     def is_linear(self) -> bool:
         e = self.array
         # linear iff some global phase makes all components real
@@ -137,16 +144,17 @@ class PolarizationVector:
     def __str__(self):
         e = self.array
         tol = 1e-12
-        if np.max(np.abs(e - np.array([0, 0, 1]))) < tol:
-            return "z"
-        if np.max(np.abs(e - np.array([1, 0, 0]))) < tol:
-            return "x"
-        for sense in ("+", "-"):
-            if np.max(np.abs(e - PolarizationVector.circular(sense).array)) < tol:
-                return f"sigma{sense}"
-        if self.is_linear() and abs(e[1]) < tol and e[0].real >= 0 and e[2].real >= 0:
+        for text, hit in zip(_NAMED_TEXT, (np.abs(e - _NAMED_EPS) < tol).all(axis=1).tolist()):
+            if hit:
+                return text
+        if abs(e[1]) < tol and e[0].real >= 0 and e[2].real >= 0 and self.is_linear():
             return f"theta:{math.degrees(math.atan2(e[0].real, e[2].real)):.10g}"
         return f"({e[0]:.6g}, {e[1]:.6g}, {e[2]:.6g})"
+
+
+# the vectors that print by name, in the order __str__ tries them
+_NAMED_TEXT = ("z", "x", "sigma+", "sigma-")
+_NAMED_EPS = np.array([PolarizationVector.parse(text).array for text in _NAMED_TEXT])
 
 
 @dataclass(frozen=True)
@@ -388,16 +396,15 @@ def alpha_eff_from_moments(
     """
     abar = (alpha_par + 2.0 * alpha_perp) / 3.0
     da = alpha_par - alpha_perp
-    e = polarization.array
-    w = np.abs(e) ** 2
+    w_perp, w_z, k = polarization._factors
     c0 = np.asarray(c20, dtype=float)
-    out = (abar - da * c0 / 3.0) * (w[0] + w[1]) + (abar + 2.0 * da * c0 / 3.0) * w[2]
+    out = (abar - da * c0 / 3.0) * w_perp + (abar + 2.0 * da * c0 / 3.0) * w_z
     if label.m == 0:
         return out
     if not label.branch:
         raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
     t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else np.zeros_like(c0)
-    c = da * t * complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+    c = da * t * k
     orientation = _branch_orientation(c, alpha_par, alpha_perp)
     split = np.where(orientation == 0, c.real, orientation * np.abs(c))
     return out + _branch_sign(label.branch) * split

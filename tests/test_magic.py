@@ -198,6 +198,75 @@ def test_scan_points_floor():
         find_magic_fields(KRB, GROUND_PAIR, Z, scan_points=1)
 
 
+# ------------------------------------------- one evaluation per field
+
+_MIXED_PAIRS = [GROUND_PAIR, (StateLabel(1, 0), StateLabel(2, 0)), (StateLabel(1, 0), StateLabel(1, 1, "+")),
+                (StateLabel(0, 0), StateLabel(2, 1, "-")), (StateLabel(1, 1, "+"), StateLabel(2, 2, "-"))]
+_SYNTHETIC = st.builds(
+    lambda b, d, a_perp, da: MoleculeSpec("syn", b, d, (8800.0, 10400.0), (a_perp + da,) * 2, (a_perp,) * 2),
+    st.floats(300.0, 5000.0), st.floats(0.05, 4.0), st.floats(50.0, 800.0), st.floats(-400.0, 800.0),
+)
+
+
+@given(
+    st.one_of(st.sampled_from([KRB, RBCS]), _SYNTHETIC),
+    st.sampled_from(_MIXED_PAIRS),
+    st.one_of(st.sampled_from([PolarizationVector.z(), PolarizationVector.x()]),
+              st.floats(0.0, 90.0).map(PolarizationVector.linear_deg)),
+    st.sampled_from([10, 14]),
+    st.floats(0.0, 5.0),
+    st.floats(0.5, 40.0),
+    st.integers(2, 64),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_scan_node_evaluated_alone_is_bitwise_its_scan_value(mol, pair, pol, j_max, lo, width, n):
+    """The premise of find_magic_fields' one evaluation per field: it reads Brent's ends and the root off the scan."""
+    a_par, a_perp = alpha_lambda_at(mol, 9174.0)
+    grid = np.linspace(lo, lo + width, n)
+    scan = magic._alpha_effs(mol, pair, grid, a_par, a_perp, (pol,), j_max)[0]
+    for i, e_dc in enumerate(grid.tolist()):
+        alone = magic._alpha_effs(mol, pair, e_dc, a_par, a_perp, (pol,), j_max)[0]
+        for lb, got, want in zip(pair, alone, scan):
+            assert np.asarray(got).tobytes() == want[i].tobytes(), (
+                f"alpha_eff({lb}) at {e_dc!r} kV/cm alone is {float(got)!r}, batched {want[i]!r}: a stacked "
+                "eigh no longer equals one eigh per matrix in this numpy/LAPACK, so find_magic_fields' "
+                "reuse of scan values would move its roots")
+
+
+@pytest.mark.parametrize(
+    "mol, pair, pol, e_range, singles",
+    [
+        (KRB, GROUND_PAIR, Z, (0.0, 15.0), 4),
+        (RBCS, (StateLabel(1, 0), StateLabel(2, 0)), PolarizationVector.x(), (0.0, 30.0), None),
+        (RBCS, (StateLabel(1, 0), StateLabel(1, 1, "-")), PolarizationVector.linear_deg(30.0), (0.0, 15.0), None),
+        (KRB, (StateLabel(1, 0), StateLabel(1, 1, "+")), PolarizationVector.x(), (0.0, 15.0), 0),
+    ],
+    ids=["krb-ground-z", "rbcs-two-roots", "rbcs-branch", "krb-root-on-node"],
+)
+def test_each_field_is_evaluated_once(mol, pair, pol, e_range, singles, monkeypatch):
+    real_alpha_effs, real_brent = magic._alpha_effs, magic._brent
+    fields, asked = [], []
+
+    def counted(molecule, labels, e_dc, *args):
+        fields.append(e_dc)
+        return real_alpha_effs(molecule, labels, e_dc, *args)
+
+    def recorded(f, a, b, *args, **kwargs):
+        return real_brent(lambda x: asked.append(x) or f(x), a, b, *args, **kwargs)
+
+    monkeypatch.setattr(magic, "_alpha_effs", counted)
+    monkeypatch.setattr(magic, "_brent", recorded)
+    reps = find_magic_fields(mol, pair, pol, e_range)
+    grid, *single = fields
+    assert np.shape(grid) == (magic._SCAN_POINTS,) and all(np.ndim(e) == 0 for e in single)
+    # one kernel call per point Brent asks for that is not a scan node, in the order it asks
+    nodes = set(grid.tolist())
+    assert single == list(dict.fromkeys(x for x in asked if x not in nodes))
+    assert len(reps) >= 1
+    if singles is not None:
+        assert len(single) == singles
+
+
 # ------------------------------------------------------ Brent refinement
 
 def _brent_and_brentq(f, a, b, xtol, rtol, maxiter=100):
@@ -289,6 +358,19 @@ def test_brent_out_of_iterations_matches_brentq():
 )
 def test_brent_raises_as_brentq(f, message):
     assert _brent_and_brentq(f, 0.0, 1.0, 2e-12, 4 * np.finfo(float).eps) == message
+
+
+def test_brent_takes_numpy_float_tolerances_silently():
+    # a numpy-float rtol once made the iterate a numpy scalar, whose 0 * inf in _div warned
+    def f(x):
+        return 1e-300 * math.atan(x)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _brent(f, -1.0, 1e-9, 1e-15, np.float64(4 * np.finfo(float).eps))
+        assert _brent_and_brentq(f, -1.0, 1e-9, 1e-15, np.float64(4 * np.finfo(float).eps)) == got
+    assert got == _brent(f, -1.0, 1e-9, 1e-15, 4 * float(np.finfo(float).eps))
+    assert got[1:] == (True, 8)
 
 
 def test_polarization_invariance_for_m0_pair():

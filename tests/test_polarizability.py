@@ -62,6 +62,24 @@ def test_polarization_parse():
             PolarizationVector.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "pol, text",
+    [
+        (PolarizationVector.z(), "z"),
+        (PolarizationVector.x(), "x"),
+        (PolarizationVector.circular("+"), "sigma+"),
+        (PolarizationVector.circular("-"), "sigma-"),
+        (PolarizationVector.linear_deg(0.0), "z"),
+        (PolarizationVector.linear_deg(15.0), "theta:15"),
+        (PolarizationVector.linear_deg(MAGIC_ANGLE_DEG), "theta:54.73561032"),
+        (PolarizationVector.linear_deg(90.0), "x"),
+        (PolarizationVector((math.sqrt(0.5), 0.5j, -0.5)), "(0.707107+0j, 0+0.5j, -0.5+0j)"),
+    ],
+)
+def test_polarization_text(pol, text):
+    assert str(pol) == text
+
+
 def test_polarization_normalization():
     with pytest.raises(ValueError):
         PolarizationVector((0.5, 0.0, 0.0))
