@@ -3,12 +3,7 @@
 
 import argparse
 
-from magictrap.magic import (
-    NoCrossingError,
-    find_magic_field,
-    magic_angle,
-    magic_field_polarization_invariance,
-)
+from magictrap.magic import NoCrossingError, find_magic_field, magic_angle
 from magictrap.polarizability import PolarizationVector
 from magictrap.stark import StateLabel
 from magictrap.units import load_molecule
@@ -41,11 +36,6 @@ def main():
                 continue
             print(f"  {label:<28s}  E* = {rep.e_star_kv_cm:9.5f} kV/cm   "
                   f"beta* = {rep.beta_star:.8f}")
-        inv = magic_field_polarization_invariance(
-            mol, (StateLabel(0, 0), StateLabel(1, 0)),
-            e_range=(0.0, args.emax), nu_cm=args.nu,
-        )
-        print(f"  polarization spread of the ground-pair E*: {inv.max_rel_spread:.2e} rel")
         ang = magic_angle((StateLabel(0, 0), StateLabel(1, 0)), mol, nu_cm=args.nu)
         print(f"  magic angle theta0 = {ang.theta0_deg:.10f} deg "
               f"(alpha_eff spread {ang.spread_au:.2e} a.u. across fields)")

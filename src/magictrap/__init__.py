@@ -27,14 +27,12 @@ from .magic import (
     find_magic_field,
     find_magic_fields,
     magic_angle,
-    magic_field_polarization_invariance,
     sweep,
 )
 from .polarizability import (
     MAGIC_ANGLE_DEG,
     PolarizabilityTensor,
     PolarizationVector,
-    StarkShift,
     alpha_eff,
     alpha_tensor_closed_form,
     alpha_tensor_sos,
@@ -53,7 +51,6 @@ from .units import (
     MoleculeFileError,
     MoleculeSpec,
     alpha_lambda_at,
-    bundled_molecule_names,
     load_molecule,
 )
 
@@ -61,17 +58,17 @@ __all__ = [
     "__version__",
     "three_j", "c_tensor_element", "f_factor",
     "MoleculeSpec", "MoleculeFileError",
-    "load_molecule", "bundled_molecule_names", "alpha_lambda_at",
+    "load_molecule", "alpha_lambda_at",
     "DEBYE_KVCM_TO_MHZ", "AU_POL_TO_MHZ_PER_W_CM2",
     "StateLabel", "StarkEigensystem", "solve", "alignment", "check_convergence",
-    "PolarizationVector", "PolarizabilityTensor", "StarkShift",
+    "PolarizationVector", "PolarizabilityTensor",
     "alpha_tensor_closed_form", "alpha_tensor_sos",
     "alpha_eff", "stark_shift",
     "MAGIC_ANGLE_DEG",
     "SweepGrid", "CrossingReport", "MagicAngleReport",
     "NoCrossingError", "DegenerateDifferenceError", "RefinementError",
     "sweep", "emit_figure_data", "find_magic_field", "find_magic_fields",
-    "magic_field_polarization_invariance", "magic_angle",
+    "magic_angle",
     "BeamConfig", "LatticePlan", "SeparationOfScalesError",
     "plan_paper_lattice", "validate_plan", "plan_to_json",
 ]

@@ -30,7 +30,7 @@ from .magic import (
     magic_angle,
     sweep,
 )
-from .polarizability import PolarizationVector, alpha_tensor_closed_form, stark_shift
+from .polarizability import PolarizationVector, alpha_eff, alpha_tensor_closed_form, stark_shift
 from .stark import StateLabel
 from .tableio import Column, ResultTable
 from .units import CM1_TO_MHZ, MoleculeFileError, MoleculeSpec, alpha_lambda_at, load_molecule
@@ -175,22 +175,33 @@ def _grid_count_arg(noun: str):
 
 # a ceiling on the basis size: eigh cost grows as j_max^3, and memory as j_max^2
 _JMAX_CEILING = 200
+# ceilings on a grid (--steps, --scan-points): its points, and its points x (j_max + 1)^2,
+# the size of the stack of blocks that one batched eigh holds
+_GRID_CEILING = 100_000
+_GRID_BASIS_CEILING = 2 ** 24
 
 
 def _check_basis(args) -> None:
-    """Reject a --jmax above the ceiling, one stark would refuse, or one that drops a requested state."""
-    if getattr(args, "jmax", 0) > _JMAX_CEILING:
-        raise UsageError(f"--jmax must be <= {_JMAX_CEILING}, got {args.jmax}")
+    """Reject a --jmax or grid above its ceiling, a --jmax stark would refuse or one that drops a state."""
+    jmax = getattr(args, "jmax", 0)
+    if jmax > _JMAX_CEILING:
+        raise UsageError(f"--jmax must be <= {_JMAX_CEILING}, got {jmax}")
     labels = getattr(args, "states", None) or getattr(args, "pair", None)
-    if labels is None:
-        return
-    try:
-        stark._check_j_max(max(abs(lb.m) for lb in labels), args.jmax)
-    except ValueError as exc:
-        raise UsageError(f"--jmax: {exc}") from None
-    for lb in labels:
-        if lb.j_tilde > args.jmax:
-            raise UsageError(f"--jmax: state {lb} needs J_tilde <= j_max = {args.jmax}")
+    if labels is not None:
+        try:
+            stark._check_j_max(max(abs(lb.m) for lb in labels), jmax)
+        except ValueError as exc:
+            raise UsageError(f"--jmax: {exc}") from None
+        for lb in labels:
+            if lb.j_tilde > jmax:
+                raise UsageError(f"--jmax: state {lb} needs J_tilde <= j_max = {jmax}")
+    option = "--steps" if hasattr(args, "steps") else "--scan-points"
+    points = getattr(args, "steps", getattr(args, "scan_points", 0))
+    if points > _GRID_CEILING:
+        raise UsageError(f"{option} must be <= {_GRID_CEILING}, got {points}")
+    if points * (jmax + 1) ** 2 > _GRID_BASIS_CEILING:
+        raise UsageError(f"{option} x (--jmax + 1)^2 must be <= {_GRID_BASIS_CEILING}, "
+                         f"got {points} x {(jmax + 1) ** 2}")
 
 
 def _pol_arg(text: str) -> str:
@@ -257,14 +268,14 @@ def _cmd_polar(args) -> str:
     labels = _expand_branches(args.states)
     systems = {m: stark.solve(mol, args.field, m, args.jmax) for m in {abs(lb.m) for lb in labels}}
     tensors = [alpha_tensor_closed_form(systems[abs(lb.m)], lb, a_par, a_perp, pol) for lb in labels]
-    shifts = [stark_shift(tens, pol, args.intensity) for tens in tensors]
+    alphas = [alpha_eff(tens, pol) for tens in tensors]
     columns = [
         Column("state", "1", [str(lb) for lb in labels]),
         Column("alpha_xx", "a.u.", [t.xx for t in tensors]),
         Column("alpha_yy", "a.u.", [t.yy for t in tensors]),
         Column("alpha_zz", "a.u.", [t.zz for t in tensors]),
-        Column("alpha_eff", "a.u.", [sh.alpha_eff_au for sh in shifts]),
-        Column("dE", "MHz", [sh.delta_e_mhz for sh in shifts]),
+        Column("alpha_eff", "a.u.", alphas),
+        Column("dE", "MHz", [stark_shift(a, args.intensity) for a in alphas]),
         Column("degenerate", "1", [t.degenerate for t in tensors]),
     ]
     return _render(

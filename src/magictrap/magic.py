@@ -41,15 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, stark
-from .polarizability import MAGIC_ANGLE_DEG, PolarizationVector, alpha_eff_from_moments
+from .polarizability import PolarizationVector, alpha_eff_from_moments, stark_shift
 from .stark import StateLabel
 from .tableio import Column, ResultTable
-from .units import AU_POL_TO_MHZ_PER_W_CM2, MoleculeSpec, alpha_lambda_at, load_molecule
+from .units import MoleculeSpec, alpha_lambda_at, load_molecule
 
 __all__ = [
     "SweepGrid",
     "CrossingReport",
-    "PolarizationInvarianceReport",
     "MagicAngleReport",
     "NoCrossingError",
     "DegenerateDifferenceError",
@@ -58,7 +57,6 @@ __all__ = [
     "emit_figure_data",
     "find_magic_field",
     "find_magic_fields",
-    "magic_field_polarization_invariance",
     "magic_angle",
 ]
 
@@ -109,6 +107,12 @@ class SweepGrid:
         return np.linspace(self.start, self.stop, self.steps)
 
 
+def _check_beta(molecule, e_max):
+    """Refuse a field grid whose largest field has an infinite beta = d E / B, before numpy warns."""
+    if math.isinf(molecule.beta(float(e_max))):
+        raise ValueError(f"beta = d E / B overflows at E_dc = {e_max:g} kV/cm")
+
+
 def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_max):
     """alpha_eff of each label at the fields ``e_dc`` (kV/cm, any shape), per polarization.
 
@@ -143,10 +147,9 @@ def _alpha_effs_theta(molecule, labels, e_dc, alpha_par, alpha_perp, theta_deg, 
 
 def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
     """Per-state alpha_eff and AC shift along the grid, one row per point."""
-    if intensity_w_cm2 < 0:
-        raise ValueError("intensity must be >= 0")
     labels = list(states)
     mol, x = grid.molecule, grid.values
+    _check_beta(mol, grid.stop if grid.variable == "E_dc" else grid.e_dc_kv_cm)
     meta = dict(molecule=mol.name, variable=grid.variable, intensity_w_cm2=f"{intensity_w_cm2:.12g}",
                 j_max=str(grid.j_max))
     pol = grid.polarization or PolarizationVector.z()
@@ -167,7 +170,7 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
     columns = [Column(grid.variable, _VARIABLES[grid.variable], x)]
     for lb, a in zip(labels, alphas):
         columns.append(Column(f"alpha_eff({lb})", "a.u.", a))
-        columns.append(Column(f"dE({lb})", "MHz", -a * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2))
+        columns.append(Column(f"dE({lb})", "MHz", stark_shift(a, intensity_w_cm2)))
     return ResultTable(columns, meta)
 
 
@@ -367,6 +370,7 @@ def find_magic_fields(
         raise ValueError(f"e_range must lie in [0, inf), got {lo:g}:{hi:g}")
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points}")
+    _check_beta(molecule, hi)
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
 
@@ -451,54 +455,6 @@ def find_magic_field(
 
 
 @dataclass(frozen=True)
-class PolarizationInvarianceReport:
-    pair: tuple
-    molecule_name: str
-    entries: tuple       # (polarization text, E* or None, degenerate flag)
-    max_rel_spread: float
-
-
-def magic_field_polarization_invariance(
-    molecule: MoleculeSpec,
-    pair,
-    e_range=(0.0, 15.0),
-    nu_cm: float = 9174.0,
-    j_max: int = 10,
-) -> PolarizationInvarianceReport:
-    """E* of an M=0 pair across z, x and linear polarizations at 15, 30, 54.7 and 75 deg.
-
-    The magic angle is deliberately among them: there the difference
-    vanishes identically and the entry is flagged degenerate instead of
-    reporting a spurious root.
-    """
-    state_a, state_b = pair
-    if state_a.m != 0 or state_b.m != 0:
-        raise ValueError("polarization invariance holds for M = 0 pairs only")
-    pols = [("z", PolarizationVector.z()), ("x", PolarizationVector.x())]
-    pols += [(f"theta:{t:.10g}", PolarizationVector.linear_deg(t)) for t in (15.0, 30.0, MAGIC_ANGLE_DEG, 75.0)]
-    entries = []
-    found = []
-    for text, pol in pols:
-        try:
-            rep = find_magic_field(molecule, pair, pol, e_range, nu_cm, j_max)
-        except DegenerateDifferenceError:
-            entries.append((text, None, True))
-            continue
-        entries.append((text, rep.e_star_kv_cm, False))
-        found.append(rep.e_star_kv_cm)
-    if len(found) >= 2:
-        spread = (max(found) - min(found)) / (0.5 * (max(found) + min(found)))
-    else:
-        spread = 0.0
-    return PolarizationInvarianceReport(
-        pair=tuple(pair),
-        molecule_name=molecule.name,
-        entries=tuple(entries),
-        max_rel_spread=spread,
-    )
-
-
-@dataclass(frozen=True)
 class MagicAngleReport:
     molecule_name: str
     pair: tuple
@@ -535,15 +491,8 @@ def magic_angle(
     theta0 = math.degrees(math.acos(1.0 / math.sqrt(den / num)))   # MAGIC_ANGLE_DEG for 1/3
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
-    da = a_par - a_perp
-    if abs(da) <= 1e-14 * max(abs(a_par), abs(a_perp)):
-        return MagicAngleReport(
-            molecule_name=molecule.name, pair=tuple(pair), nu_cm=nu_cm,
-            theta0_deg=theta0, cos2_theta0=num / den, abar_au=abar,
-            spread_au=0.0, crossings=tuple((float(e), None) for e in e_grid_kv_cm),
-            no_common_angle=False, degenerate=True,
-        )
     fields = np.asarray(e_grid_kv_cm, dtype=float)
+    _check_beta(molecule, np.max(fields, initial=0.0))
     a_x, a_z = _alpha_effs(molecule, pair, fields, a_par, a_perp, _X_AND_Z, j_max)
     s0, c0 = math.sin(math.radians(theta0)), math.cos(math.radians(theta0))
     at_theta0 = [ax * s0 * s0 + az * c0 * c0 for ax, az in zip(a_x, a_z)]
@@ -583,5 +532,5 @@ def magic_angle(
         spread_au=0.0 if spread_au < tiny else spread_au,
         crossings=tuple(crossings),
         no_common_angle=no_common,
-        degenerate=False,
+        degenerate=abs(a_par - a_perp) <= 1e-14 * max(abs(a_par), abs(a_perp)),
     )

@@ -44,7 +44,6 @@ from .units import AU_POL_TO_MHZ_PER_W_CM2
 __all__ = [
     "PolarizationVector",
     "PolarizabilityTensor",
-    "StarkShift",
     "alpha_tensor_closed_form",
     "alpha_tensor_sos",
     "alpha_eff",
@@ -79,13 +78,10 @@ class PolarizationVector:
         return np.asarray(self.eps, dtype=complex)
 
     @classmethod
-    def linear(cls, theta_rad: float) -> "PolarizationVector":
-        """cos(theta) z_hat + sin(theta) x_hat."""
-        return cls((math.sin(theta_rad), 0.0, math.cos(theta_rad)))
-
-    @classmethod
     def linear_deg(cls, theta_deg: float) -> "PolarizationVector":
-        return cls.linear(math.radians(theta_deg))
+        """cos(theta) z_hat + sin(theta) x_hat, theta in degrees."""
+        rad = math.radians(theta_deg)
+        return cls((math.sin(rad), 0.0, math.cos(rad)))
 
     @classmethod
     def z(cls) -> "PolarizationVector":
@@ -188,18 +184,6 @@ class PolarizabilityTensor:
     @property
     def zz(self) -> float:
         return float(self.matrix[2, 2].real)
-
-    @property
-    def abar(self) -> float:
-        return float(np.trace(self.matrix).real) / 3.0
-
-
-@dataclass(frozen=True)
-class StarkShift:
-    """AC shift Delta E = -(|E_o|^2/4) sum alpha_ss' eps_s eps*_s'."""
-
-    delta_e_mhz: float
-    alpha_eff_au: float
 
 
 def _branch_sign(branch: str) -> int:
@@ -410,13 +394,15 @@ def alpha_eff_from_moments(
     return out + _branch_sign(label.branch) * split
 
 
-def stark_shift(
-    tensor: PolarizabilityTensor,
-    polarization: PolarizationVector,
-    intensity_w_cm2: float,
-) -> StarkShift:
-    """AC shift in MHz at the given intensity (W/cm^2)."""
+def stark_shift(alpha_eff_au, intensity_w_cm2: float):
+    """AC shift Delta E = -alpha_eff I / (2 eps0 c) in MHz, of one alpha_eff (a.u.) or an array of them.
+
+    Refuses a negative intensity, and a shift that is not finite (one that overflows).
+    """
     if intensity_w_cm2 < 0:
         raise ValueError("intensity must be >= 0")
-    a_eff = alpha_eff(tensor, polarization)
-    return StarkShift(delta_e_mhz=-a_eff * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2, alpha_eff_au=a_eff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = -alpha_eff_au * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2
+    if not np.all(np.isfinite(shift)):
+        raise ValueError(f"AC shift at intensity {intensity_w_cm2:g} W/cm^2 is not finite")
+    return shift

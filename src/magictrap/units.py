@@ -20,7 +20,6 @@ __all__ = [
     "MoleculeSpec",
     "MoleculeFileError",
     "load_molecule",
-    "bundled_molecule_names",
     "alpha_lambda_at",
     "DEBYE_KVCM_TO_MHZ",
     "AU_POL_TO_MHZ_PER_W_CM2",
@@ -67,14 +66,17 @@ class MoleculeSpec:
     alpha_perp: tuple       # a.u., same grid
 
     def __post_init__(self):
-        if not self.b_mhz > 0:
-            raise MoleculeFileError(f"B_GHz must be > 0 (molecule {self.name!r})")
-        if self.d00_debye < 0:
-            raise MoleculeFileError(f"d00_debye must be >= 0 (molecule {self.name!r})")
+        # B_GHz * 1e3 may overflow, so b_mhz is checked for finiteness too
+        if not (math.isfinite(self.b_mhz) and self.b_mhz > 0):
+            raise MoleculeFileError(f"B_GHz must be finite and > 0 (molecule {self.name!r})")
+        if not (math.isfinite(self.d00_debye) and self.d00_debye >= 0):
+            raise MoleculeFileError(f"d00_debye must be finite and >= 0 (molecule {self.name!r})")
         if len(self.nu_grid) < 2:
             raise MoleculeFileError(f"alpha table needs at least 2 rows (molecule {self.name!r})")
         if not (len(self.nu_grid) == len(self.alpha_par) == len(self.alpha_perp)):
             raise MoleculeFileError(f"alpha table columns have unequal lengths (molecule {self.name!r})")
+        if not np.all(np.isfinite([self.nu_grid, self.alpha_par, self.alpha_perp])):
+            raise MoleculeFileError(f"alpha table values must be finite (molecule {self.name!r})")
         diffs = np.diff(self.nu_grid)
         if not np.all(diffs > 0):
             raise MoleculeFileError(
@@ -91,10 +93,6 @@ class MoleculeSpec:
 
 
 _BUNDLED = {"krb": "krb.molecule", "rbcs": "rbcs.molecule"}
-
-
-def bundled_molecule_names() -> list:
-    return ["KRb", "RbCs"]
 
 
 def _parse_molecule_text(text: str, origin: str) -> MoleculeSpec:

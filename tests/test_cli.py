@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,93 @@ def test_compute_errors_exit_2(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range", "0:1e308"], "overflows"),
+        (["magic-angle", "--molecule", "KRb", "--range", "0:1e308"], "overflows"),
+        (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:1e308", "--states", "0,0"], "overflows"),
+        (["sweep", "--molecule", "KRb", "--var", "theta", "--range", "0:90", "--states", "0,0", "--field", "1e308"],
+         "overflows"),
+        (["sweep", "--molecule", "KRb", "--var", "nu", "--range", "9000:9500", "--states", "0,0", "--field", "1e308"],
+         "overflows"),
+        (["polar", "--molecule", "KRb", "--states", "0,0", "--intensity", "1e308"], "not finite"),
+        (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0", "--intensity", "1e308"],
+         "not finite"),
+    ],
+)
+def test_overflow_exits_2_without_a_warning(capsys, argv, message):
+    """A field whose beta overflows, or an AC shift that does, is one error line: no numpy warning, no -inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("alpha: 8800 nan 228.0", "alpha table values must be finite"),
+        ("B_GHz inf", "B_GHz must be finite and > 0"),
+        ("d00_debye inf", "d00_debye must be finite and >= 0"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["polar", "--field", "3", "--states", "0,0:1,0"],
+                                  ["sweep", "--var", "E_dc", "--range", "0:5", "--states", "0,0"],
+                                  ["eigen", "--field", "3", "--states", "0,0"]], ids=lambda a: a[0])
+def test_non_finite_molecule_file_exits_2(tmp_path, capsys, line, message, argv):
+    lines = {"name": "name T", "B_GHz": "B_GHz 1.0", "d00_debye": "d00_debye 0.5", "alpha": "alpha: 8800 612.0 228.0"}
+    lines[line.split()[0].rstrip(":")] = line
+    path = tmp_path / "bad.molecule"
+    path.write_text("\n".join(lines.values()) + "\nalpha: 9500 550 220\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, *argv, "--molecule", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
+class _Allocated(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:1", "--states", "0,0", "--steps", "100000"],
+         True),
+        (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:1", "--states", "0,0", "--steps", "100001"],
+         False),
+        (["sweep", "--molecule", "KRb", "--var", "theta", "--range", "0:1", "--states", "0,0",
+          "--steps", "200000000"], False),
+        (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:1", "--states", "0,0", "--steps", "415",
+          "--jmax", "200"], True),
+        (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:1", "--states", "0,0", "--steps", "416",
+          "--jmax", "200"], False),
+        (["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--scan-points", "415", "--jmax", "200"],
+         True),
+        (["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--scan-points", "3000", "--jmax", "200"],
+         False),
+        (["magic-angle", "--molecule", "KRb", "--steps", "100001"], False),
+    ],
+)
+def test_grid_ceilings(capsys, monkeypatch, argv, accepted):
+    """A grid above 100,000 points, or above 2^24 points x (j_max + 1)^2, is a usage error before numpy allocates."""
+    def allocate(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(np, "linspace", allocate)
+    monkeypatch.setattr(np.linalg, "eigh", allocate)
+    if accepted:
+        with pytest.raises(_Allocated):
+            run(argv)
+    else:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --s") and "must be <=" in err and len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------ CLI contract

@@ -15,6 +15,7 @@ from magictrap.magic import (
     DegenerateDifferenceError,
     NoCrossingError,
     SweepGrid,
+    _alpha_effs,
     _alpha_effs_theta,
     _brent,
     _root_brackets,
@@ -22,7 +23,6 @@ from magictrap.magic import (
     find_magic_field,
     find_magic_fields,
     magic_angle,
-    magic_field_polarization_invariance,
     sweep,
 )
 from magictrap.polarizability import MAGIC_ANGLE_DEG, PolarizationVector, alpha_eff, alpha_tensor_closed_form
@@ -373,21 +373,40 @@ def test_brent_takes_numpy_float_tolerances_silently():
     assert got[1:] == (True, 8)
 
 
-def test_polarization_invariance_for_m0_pair():
-    rep = magic_field_polarization_invariance(RBCS, GROUND_PAIR, e_range=(0.0, 15.0))
-    assert rep.max_rel_spread < 1e-8
-    found = [e for (_, e, flag) in rep.entries if e is not None and not flag]
-    assert len(found) >= 2
-    # the magic-angle entry must be flagged degenerate, not show a fake root
-    degenerate = [text for (text, e, flag) in rep.entries if flag]
-    assert any(text.startswith("theta:54.7") for text in degenerate)
+@given(
+    st.sampled_from([KRB, RBCS]),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
+    st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=8),
+    st.floats(min_value=-180.0, max_value=360.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_m0_anisotropy_scales_as_p2_of_the_polarization_angle(mol, j_tildes, fields, theta):
+    """For M = 0, alpha_eff(theta) - abar = P_2(cos theta) (alpha_eff(z) - abar).
+
+    alpha_eff = abar + da <C_20> (3 |eps_z|^2 - 1)/3 for an M = 0 state, so the
+    difference of two M = 0 states is one function of the field times
+    (3 |eps_z|^2 - 1): its zeros in E, the magic fields, do not depend on the
+    polarization, unless the factor itself vanishes (the magic angle).
+    """
+    labels = [StateLabel(j, 0) for j in j_tildes]
+    a_par, a_perp = alpha_lambda_at(mol, 9174.0)
+    abar = (a_par + 2 * a_perp) / 3
+    at_theta, at_z = _alpha_effs(mol, labels, fields, a_par, a_perp, (PolarizationVector.linear_deg(theta), Z), 10)
+    p2 = (3 * math.cos(math.radians(theta)) ** 2 - 1) / 2
+    for got, z in zip(at_theta, at_z):
+        assert np.max(np.abs((got - abar) - p2 * (z - abar))) <= 1e-12 * abar
 
 
-def test_polarization_invariance_rejects_branch_pairs():
-    with pytest.raises(ValueError):
-        magic_field_polarization_invariance(
-            RBCS, (StateLabel(1, 0), StateLabel(1, 1, "+")), e_range=(0.0, 15.0)
-        )
+@pytest.mark.parametrize("pair", [GROUND_PAIR, (StateLabel(0, 0), StateLabel(2, 0))], ids=["0,0:1,0", "0,0:2,0"])
+@pytest.mark.parametrize("mol", [KRB, RBCS], ids=lambda m: m.name)
+def test_m0_magic_field_does_not_depend_on_the_polarization(mol, pair):
+    pols = [Z, PolarizationVector.x()] + [PolarizationVector.linear_deg(t) for t in (15.0, 30.0, 75.0)]
+    e_stars = [[r.e_star_kv_cm for r in find_magic_fields(mol, pair, pol, e_range=(0.0, 30.0))] for pol in pols]
+    for got in e_stars[1:]:
+        assert got == pytest.approx(e_stars[0], rel=1e-8)
+    # at the magic angle the difference vanishes at every field: no root is reported
+    with pytest.raises(DegenerateDifferenceError):
+        find_magic_fields(mol, pair, PolarizationVector.linear_deg(MAGIC_ANGLE_DEG), e_range=(0.0, 30.0))
 
 
 def test_magic_angle_m0_pair():
@@ -464,18 +483,33 @@ def test_magic_angle_same_branch_m1_pair_has_its_family_angle(molecule, branch, 
     assert rep.spread_au == 0.0
 
 
-def test_magic_angle_isotropic_molecule_degenerate():
-    iso = MoleculeSpec(
-        name="iso",
-        b_mhz=1000.0,
-        d00_debye=1.0,
-        nu_grid=(9000.0, 10000.0),
-        alpha_par=(300.0, 300.0),
-        alpha_perp=(300.0, 300.0),
-    )
-    rep = magic_angle(GROUND_PAIR, iso)
+ISO = MoleculeSpec(
+    name="iso",
+    b_mhz=1000.0,
+    d00_debye=1.0,
+    nu_grid=(9000.0, 10000.0),
+    alpha_par=(300.0, 300.0),
+    alpha_perp=(300.0, 300.0),
+)
+
+
+@pytest.mark.parametrize("pair", ["0,0:1,0", "1,1,+:1,1,-", "0,0:1,1,+"])
+def test_magic_angle_isotropic_molecule_degenerate(pair):
+    rep = magic_angle(tuple(StateLabel.parse(t) for t in pair.split(":")), ISO)
     assert rep.degenerate
     assert not rep.no_common_angle
+    assert rep.crossings == tuple((e, None) for e in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    assert rep.spread_au == 0.0
+
+
+def test_magic_angle_isotropic_molecule_validates_fields_and_labels():
+    """An isotropic molecule takes the same path as any other, so bad input is refused as for one."""
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        magic_angle(GROUND_PAIR, ISO, e_grid_kv_cm=(-1.0, 2.0))
+    with pytest.raises(ValueError, match="J_tilde = 11 outside"):
+        magic_angle((StateLabel(0, 0), StateLabel(11, 0)), ISO)
+    with pytest.raises(ValueError, match="request a"):
+        magic_angle((StateLabel(0, 0), StateLabel(1, 1)), ISO)
 
 
 # ----------------------------------------------------------------------- sweep

@@ -1,6 +1,7 @@
 """AC tensors: closed-form vs state-sum routes, branches and shifts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_polarization_constructors():
     assert np.allclose(x.array, [1, 0, 0])
     th = PolarizationVector.linear_deg(90.0)
     assert np.allclose(th.array, [1, 0, 0], atol=1e-15)
-    assert np.allclose(PolarizationVector.linear(0.0).array, [0, 0, 1])
+    assert np.allclose(PolarizationVector.linear_deg(0.0).array, [0, 0, 1])
     for sense in ("+", "-"):
         c = PolarizationVector.circular(sense)
         assert np.sum(np.abs(c.array) ** 2) == pytest.approx(1.0, rel=1e-15)
@@ -258,7 +259,7 @@ def test_trace_identity():
                 assert np.trace(t.matrix).real == pytest.approx(
                     A_PAR + 2 * A_PERP, rel=1e-13
                 )
-                assert t.abar == pytest.approx((A_PAR + 2 * A_PERP) / 3.0, rel=1e-13)
+                assert np.trace(t.matrix).real / 3 == pytest.approx((A_PAR + 2 * A_PERP) / 3.0, rel=1e-13)
 
 
 def test_closed_form_tensor_is_symmetric_with_trace_abar():
@@ -268,7 +269,7 @@ def test_closed_form_tensor_is_symmetric_with_trace_abar():
     t = alpha_tensor_closed_form(sys, StateLabel(1, 1, "+"), A_PAR, A_PERP)
     assert np.max(np.abs(t.matrix - t.matrix.conj().T)) < 1e-12 * A_PAR
     assert np.max(np.abs(t.matrix - t.matrix.T)) < 1e-10 * A_PAR
-    assert abs(t.abar - (A_PAR + 2 * A_PERP) / 3.0) < 1e-10 * A_PAR
+    assert abs(np.trace(t.matrix).real / 3 - (A_PAR + 2 * A_PERP) / 3.0) < 1e-10 * A_PAR
 
 
 def test_block_zz_sum_is_field_independent():
@@ -423,12 +424,24 @@ def test_stark_shift_scaling():
     sys = block(KRB, 0.0, 0)
     t = alpha_tensor_closed_form(sys, StateLabel(0, 0), A_PAR, A_PERP)
     z = PolarizationVector.z()
-    s1 = stark_shift(t, z, 1.0)
-    s2 = stark_shift(t, z, 2500.0)
+    a = alpha_eff(t, z)
     abar = (A_PAR + 2 * A_PERP) / 3.0
-    assert s1.alpha_eff_au == pytest.approx(abar, rel=1e-13)
-    assert s1.delta_e_mhz == pytest.approx(-abar * AU_POL_TO_MHZ_PER_W_CM2, rel=1e-13)
-    assert s2.delta_e_mhz == pytest.approx(2500.0 * s1.delta_e_mhz, rel=1e-13)
-    assert s1.delta_e_mhz < 0  # red shift for positive alpha
+    assert a == pytest.approx(abar, rel=1e-13)
+    s1 = stark_shift(a, 1.0)
+    s2 = stark_shift(a, 2500.0)
+    assert s1 == pytest.approx(-abar * AU_POL_TO_MHZ_PER_W_CM2, rel=1e-13)
+    assert s2 == pytest.approx(2500.0 * s1, rel=1e-13)
+    assert s1 < 0  # red shift for positive alpha
+    # an array of alpha_eff gives the shift of each, bitwise the scalar one
+    assert stark_shift(np.array([a, -a]), 2500.0).tolist() == [s2, stark_shift(-a, 2500.0)]
     with pytest.raises(ValueError):
-        stark_shift(t, z, -1.0)
+        stark_shift(a, -1.0)
+
+
+@pytest.mark.parametrize("alpha", [369.96, np.array([369.96, 12.5]), np.array([-1e300, 1.0])])
+@pytest.mark.parametrize("intensity", [1e308, math.inf])
+def test_stark_shift_refuses_a_shift_that_is_not_finite(alpha, intensity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not finite"):
+            stark_shift(alpha, intensity)

@@ -14,7 +14,6 @@ from magictrap.units import (
     MoleculeFileError,
     MoleculeSpec,
     alpha_lambda_at,
-    bundled_molecule_names,
     load_molecule,
 )
 
@@ -47,7 +46,6 @@ def test_polarizability_intensity_constant():
 
 
 def test_bundled_molecules():
-    assert bundled_molecule_names() == ["KRb", "RbCs"]
     krb = load_molecule("KRb")
     rbcs = load_molecule("RbCs")
     assert krb.name == "KRb"
@@ -66,7 +64,7 @@ def test_load_molecule_case_insensitive():
 
 
 def test_alpha_table_shape():
-    for name in bundled_molecule_names():
+    for name in ("KRb", "RbCs"):
         spec = load_molecule(name)
         nu = np.array(spec.nu_grid)
         assert nu.size >= 2
@@ -154,6 +152,13 @@ def test_molecule_spec_validation():
         MoleculeSpec(**{**ok, "alpha_par": (500.0,)})
     with pytest.raises(ValueError):
         MoleculeSpec(**{**ok, "nu_grid": (9000.0,), "alpha_par": (500.0,), "alpha_perp": (200.0,)})
+    for bad in (math.inf, math.nan):
+        for key in ("b_mhz", "d00_debye"):
+            with pytest.raises(ValueError, match="must be finite"):
+                MoleculeSpec(**{**ok, key: bad})
+        for key in ("nu_grid", "alpha_par", "alpha_perp"):
+            with pytest.raises(ValueError, match="must be finite"):
+                MoleculeSpec(**{**ok, key: (ok[key][0], bad)})
 
 
 def test_load_molecule_from_path(tmp_path):
@@ -181,6 +186,15 @@ def test_load_molecule_from_path(tmp_path):
         ("name T\nB_GHz 1.0\nd00_debye 0.5\nalpha: 9500 500 200\nalpha: 9000 550 220\n", "increas"),
         ("name T\nB_GHz 1.0\nd00_debye 0.5\nalpha: 9000 500 200\n", "2 rows"),
         ("name T\nB_GHz zzz\nd00_debye 0.5\nalpha: 9000 500 200\nalpha: 9500 550 220\n", "B_GHz"),
+        # non-finite values, and a B_GHz whose value in MHz overflows
+        ("name T\nB_GHz inf\nd00_debye 0.5\nalpha: 9000 500 200\nalpha: 9500 550 220\n", "B_GHz must be finite"),
+        ("name T\nB_GHz nan\nd00_debye 0.5\nalpha: 9000 500 200\nalpha: 9500 550 220\n", "B_GHz must be finite"),
+        ("name T\nB_GHz 1e306\nd00_debye 0.5\nalpha: 9000 500 200\nalpha: 9500 550 220\n", "B_GHz must be finite"),
+        ("name T\nB_GHz 1.0\nd00_debye inf\nalpha: 9000 500 200\nalpha: 9500 550 220\n", "d00_debye must be finite"),
+        ("name T\nB_GHz 1.0\nd00_debye nan\nalpha: 9000 500 200\nalpha: 9500 550 220\n", "d00_debye must be finite"),
+        ("name T\nB_GHz 1.0\nd00_debye 0.5\nalpha: 8800 nan 228.0\nalpha: 9500 550 220\n", "must be finite"),
+        ("name T\nB_GHz 1.0\nd00_debye 0.5\nalpha: 9000 500 -inf\nalpha: 9500 550 220\n", "must be finite"),
+        ("name T\nB_GHz 1.0\nd00_debye 0.5\nalpha: 9000 500 200\nalpha: inf 550 220\n", "must be finite"),
     ],
 )
 def test_molecule_file_errors(tmp_path, body, fragment):
