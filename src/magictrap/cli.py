@@ -25,6 +25,7 @@ from .magic import (
     NoCrossingError,
     RefinementError,
     SweepGrid,
+    _check_beta,
     emit_figure_data,
     find_magic_fields,
     magic_angle,
@@ -124,6 +125,8 @@ def _range_arg(text: str):
         raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"range needs lo < hi, got {text!r}")
+    if hi - lo == math.inf:
+        raise argparse.ArgumentTypeError(f"range width overflows, got {text!r}")
     return lo, hi
 
 
@@ -312,6 +315,7 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_find_magic_field(args) -> str:
     mol = load_molecule(args.molecule)
+    _check_beta(mol, args.range[1])
     reports = find_magic_fields(
         mol, args.pair, PolarizationVector.parse(args.pol),
         e_range=args.range, nu_cm=args.nu, j_max=args.jmax,

@@ -370,7 +370,6 @@ def find_magic_fields(
         raise ValueError(f"e_range must lie in [0, inf), got {lo:g}:{hi:g}")
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points}")
-    _check_beta(molecule, hi)
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
 

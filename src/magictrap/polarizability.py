@@ -403,6 +403,6 @@ def stark_shift(alpha_eff_au, intensity_w_cm2: float):
         raise ValueError("intensity must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         shift = -alpha_eff_au * intensity_w_cm2 * AU_POL_TO_MHZ_PER_W_CM2
-    if not np.all(np.isfinite(shift)):
+    if not np.isfinite(shift).all():
         raise ValueError(f"AC shift at intensity {intensity_w_cm2:g} W/cm^2 is not finite")
     return shift

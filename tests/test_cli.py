@@ -183,6 +183,7 @@ def test_convergence_flags_edge_state(capsys):
         ["polar", "--molecule", "KRb", "--states", "0,0", "--intensity=-1"],
         ["sweep", "--molecule", "KRb", "--var", "theta", "--range", "0:90", "--states", "0,0", "--field=-1"],
         ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range=-1:5", "--states", "0,0"],
+        ["sweep", "--molecule", "KRb", "--var", "theta", "--range=-1e308:1e308", "--states", "0,0"],
         ["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0", "--intensity=-2"],
         ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range=-1:15"],
         ["find-magic-field", "--molecule", "KRb", "--pair", "0,0:1,0", "--range", "-1:15"],
