@@ -259,7 +259,6 @@ def test_trace_identity():
                 assert np.trace(t.matrix).real == pytest.approx(
                     A_PAR + 2 * A_PERP, rel=1e-13
                 )
-                assert np.trace(t.matrix).real / 3 == pytest.approx((A_PAR + 2 * A_PERP) / 3.0, rel=1e-13)
 
 
 def test_closed_form_tensor_is_symmetric_with_trace_abar():
