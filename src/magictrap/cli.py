@@ -25,7 +25,6 @@ from .magic import (
     NoCrossingError,
     RefinementError,
     SweepGrid,
-    _check_beta,
     emit_figure_data,
     find_magic_fields,
     magic_angle,
@@ -315,7 +314,6 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_find_magic_field(args) -> str:
     mol = load_molecule(args.molecule)
-    _check_beta(mol, args.range[1])
     reports = find_magic_fields(
         mol, args.pair, PolarizationVector.parse(args.pol),
         e_range=args.range, nu_cm=args.nu, j_max=args.jmax,

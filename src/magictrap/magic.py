@@ -27,8 +27,11 @@ between nodes are refined by Brent's method on it, and a node where the
 difference is zero to within 1e-10 abar is itself a root. A search evaluates
 each field at most once: Brent's ends are scan nodes and its root is a point
 it has already evaluated, so only its interior steps call the kernel again,
-one field per call. A difference that is ~0 on most nodes (the magic angle)
-is degenerate instead.
+one field per call and one diagonalization per |M| block, the field a float
+throughout. A difference that is ~0 on most nodes is degenerate instead.
+For a pair with no |M| = 1 state the light alone can prove that (the magic
+angle, an isotropic molecule; see ``_identically_zero``), and the search
+then raises the scan's error without a scan.
 ``_brent`` ports SciPy's ``brentq`` with bitwise the same roots and step
 counts, so the package needs numpy alone at run time.
 """
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, stark
-from .polarizability import PolarizationVector, alpha_eff_from_moments, stark_shift
+from .polarizability import PolarizationVector, _require_branch, alpha_eff_from_moments, stark_shift
 from .stark import StateLabel
 from .tableio import Column, ResultTable
 from .units import MoleculeSpec, alpha_lambda_at, load_molecule
@@ -97,8 +100,13 @@ class SweepGrid:
     def __post_init__(self):
         if self.variable not in _VARIABLES:
             raise ValueError(f"variable must be one of {sorted(_VARIABLES)}, got {self.variable!r}")
+        # in the words of the CLI's --range, so no grid reaches numpy as inf or nan
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"range bounds must be finite, got {self.start:g}:{self.stop:g}")
         if not self.start < self.stop:
             raise ValueError("need start < stop")
+        if float(self.stop) - float(self.start) == math.inf:
+            raise ValueError(f"range width overflows, got {self.start:g}:{self.stop:g}")
         if self.steps < 2:
             raise ValueError("need steps >= 2")
 
@@ -113,6 +121,15 @@ def _check_beta(molecule, e_max):
         raise ValueError(f"beta = d E / B overflows at E_dc = {e_max:g} kV/cm")
 
 
+def _check_labels(labels, j_max):
+    """The label and basis errors of ``_alpha_effs``, in its order, before any numpy work."""
+    for lb in labels:
+        if lb.j_tilde > j_max:
+            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
+    for m in {abs(lb.m) for lb in labels}:
+        stark._check_j_max(m, j_max)
+
+
 def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_max):
     """alpha_eff of each label at the fields ``e_dc`` (kV/cm, any shape), per polarization.
 
@@ -120,10 +137,9 @@ def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_
     and every polarization; the result holds one list of per-label arrays for
     each. ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
     """
-    for lb in labels:
-        if lb.j_tilde > j_max:
-            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
-    betas = molecule.beta(np.asarray(e_dc, dtype=float))
+    _check_labels(labels, j_max)
+    # one field stays a float down to stark._eigh: no 0-d arrays on a Brent step
+    betas = molecule.beta(float(e_dc) if np.ndim(e_dc) == 0 else np.asarray(e_dc, dtype=float))
     c20_blocks = {m: stark.dressed_moments(m, betas, j_max)[1] for m in {abs(lb.m) for lb in labels}}
     c20s = [c20_blocks[abs(lb.m)][..., lb.j_tilde - abs(lb.m)] for lb in labels]
     return [[alpha_eff_from_moments(lb, c20, alpha_par, alpha_perp, pol) for lb, c20 in zip(labels, c20s)]
@@ -252,6 +268,27 @@ class CrossingReport:
     alpha_diff_at_root: float
 
 
+def _identically_zero(pair, polarization, alpha_par, alpha_perp) -> bool:
+    """Whether the light alone proves the pair's difference ~0 at every field.
+
+    With no |M| = 1 label there is no coherence term, and the difference is
+    da (2 w_z - w_perp)/3 (<C_20>_a - <C_20>_b). <C_20> lies in [-1/2, 1], so
+    its size is at most |da (2 w_z - w_perp)|/2: zero at the magic angle (w_z =
+    1/3) and for an isotropic molecule (da = 0). The allowance bounds the
+    rounding of ``alpha_eff_from_moments``: each alpha_eff is a few ulps of
+    2 (|abar| + |da|) off, far below 1e-12 of it, and 1e-300 covers subnormal
+    results. Below 1e-10 abar, as the scan counts it, every scan node is ~0.
+    Python floats throughout, so an overflow gives inf (no shortcut) and no warning.
+    """
+    if any(abs(lb.m) == 1 for lb in pair):
+        return False
+    w_perp, w_z = (float(w) for w in polarization._factors[:2])
+    abar = (alpha_par + 2.0 * alpha_perp) / 3.0
+    da = alpha_par - alpha_perp
+    bound = 0.5 * abs(da * (2.0 * w_z - w_perp)) + 1e-12 * 2.0 * (abs(abar) + abs(da)) + 1e-300
+    return bound < _DEGENERATE_RTOL * abs(abar)
+
+
 def _root_brackets(vals) -> list:
     """Scan cells that hold a root, in scan order.
 
@@ -361,6 +398,9 @@ def find_magic_fields(
     scan or from Brent's own steps. Raises NoCrossingError when the
     difference keeps one sign, DegenerateDifferenceError when it is
     identically ~0 over most of the range (e.g. magic-angle polarization).
+    A pair that the light provably cannot tell apart (``_identically_zero``)
+    gets that error with every node counted, without a diagonalization, once
+    every ValueError the scan would raise first has been checked.
     """
     state_a, state_b = pair
     lo, hi = float(e_range[0]), float(e_range[1])
@@ -370,8 +410,23 @@ def find_magic_fields(
         raise ValueError(f"e_range must lie in [0, inf), got {lo:g}:{hi:g}")
     if scan_points < 2:
         raise ValueError(f"need scan_points >= 2, got {scan_points}")
+    _check_beta(molecule, hi)
     a_par, a_perp = alpha_lambda_at(molecule, nu_cm)
     abar = (a_par + 2.0 * a_perp) / 3.0
+
+    def degenerate(count):
+        return DegenerateDifferenceError(
+            f"alpha_eff({state_a}) - alpha_eff({state_b}) is identically ~0 "
+            f"over [{lo:.6g}, {hi:.6g}] kV/cm (within {_DEGENERATE_RTOL:g} of "
+            f"abar = {abar:.6g} a.u. at {count}/{scan_points} "
+            "scan points); no isolated crossing exists"
+        )
+
+    if _identically_zero(pair, polarization, a_par, a_perp):
+        _check_labels(pair, j_max)
+        for lb in pair:
+            _require_branch(lb)
+        raise degenerate(scan_points)
 
     def kernel(e_dc):
         return _alpha_effs(molecule, pair, e_dc, a_par, a_perp, (polarization,), j_max)[0]
@@ -396,12 +451,7 @@ def find_magic_fields(
 
     near_zero = np.abs(vals) < _DEGENERATE_RTOL * abs(abar)
     if np.count_nonzero(near_zero) > 0.5 * scan_points:
-        raise DegenerateDifferenceError(
-            f"alpha_eff({state_a}) - alpha_eff({state_b}) is identically ~0 "
-            f"over [{lo:.6g}, {hi:.6g}] kV/cm (within {_DEGENERATE_RTOL:g} of "
-            f"abar = {abar:.6g} a.u. at {np.count_nonzero(near_zero)}/{scan_points} "
-            "scan points); no isolated crossing exists"
-        )
+        raise degenerate(np.count_nonzero(near_zero))
 
     reports = []
     # a node within the noise of zero is a root there, as at a tangent zero

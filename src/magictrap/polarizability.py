@@ -129,7 +129,9 @@ class PolarizationVector:
         """|eps_perp|^2, |eps_z|^2 and eps^T K eps*: all that ``alpha_eff_from_moments`` reads of the light."""
         e = self.array
         w = np.abs(e) ** 2
-        return w[0] + w[1], w[2], complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+        # k stays a numpy scalar, so a float times k multiplies as numpy's array loops do (Python
+        # 3.14 drops the float's zero imaginary part there, which can flip the sign of a zero)
+        return w[0] + w[1], w[2], np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj())
 
     def is_linear(self) -> bool:
         e = self.array
@@ -190,6 +192,12 @@ def _branch_sign(branch: str) -> int:
     return {"+": 1, "-": -1}[branch]
 
 
+def _require_branch(label: StateLabel) -> None:
+    """Refuse an |M| > 0 label without a +/- branch: it names two states."""
+    if label.m != 0 and not label.branch:
+        raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
+
+
 # quadratic form with <+M|...|-M> structure: (eps_x - i eps_y)(eps*_x - i eps*_y)
 _K_COHERENCE = np.array(
     [[1.0, -1.0j, 0.0], [-1.0j, -1.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex
@@ -206,11 +214,17 @@ def _branch_orientation(c, alpha_par, alpha_perp):
     (1, conj(c)/|c|)/sqrt(2), i.e. Re c >= 0; -1 where it is
     (1, -conj(c)/|c|)/sqrt(2); and 0 where |c| is below _DEGENERACY_RTOL of
     the larger molecular polarizability, so the light cannot split the pair
-    and the conventional (1, +-1)/sqrt(2) stay.
+    and the conventional (1, +-1)/sqrt(2) stay. A scalar ``c`` gives an int
+    by the same comparisons, without building arrays; |c| comes from the
+    ``np.abs`` loop in both cases, since Python's ``abs`` of a complex rounds
+    differently.
     """
-    c = np.asarray(c)
-    scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
-    return np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, 0, np.where(c.real >= 0.0, 1, -1))
+    if isinstance(c, np.ndarray):
+        scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
+        return np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, 0, np.where(c.real >= 0.0, 1, -1))
+    if np.abs(c) <= _DEGENERACY_RTOL * max(abs(alpha_par), abs(alpha_perp), 1e-300):
+        return 0
+    return 1 if c.real >= 0.0 else -1
 
 
 def alpha_tensor_closed_form(
@@ -241,12 +255,11 @@ def alpha_tensor_closed_form(
     matrix = np.diag([axx, axx, azz]).astype(complex)
     degenerate = False
     if label.m != 0:
-        if not label.branch:
-            raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
+        _require_branch(label)
         t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else 0.0
         e = None if polarization is None else polarization.array
         c = da * t * (1.0 if e is None else np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
-        orientation = int(_branch_orientation(c, alpha_par, alpha_perp))
+        orientation = _branch_orientation(c, alpha_par, alpha_perp)
         degenerate = orientation == 0
         # the state is (1, w)/sqrt(2): start from (1, conj(c)/|c|), or from (1, 1)
         # when degenerate, and flip w when that is not the requested branch
@@ -334,11 +347,7 @@ def alpha_tensor_sos(
     """
     if abs(label.m) != abs(sys.m):
         raise ValueError(f"label {label} does not belong to an |M| = {abs(sys.m)} block")
-    if label.m != 0 and not label.branch:
-        raise ValueError(
-            f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; "
-            "request a +/- branch"
-        )
+    _require_branch(label)
     if j_e_max is None:
         j_e_max = sys.j_max + 1
     if j_e_max < sys.j_max + 1:
@@ -369,7 +378,8 @@ def alpha_eff_from_moments(
 
     Equals ``alpha_eff(alpha_tensor_closed_form(sys, label, ...,
     polarization), polarization)`` without building tensors: ``c20`` is
-    <C_20> (an array of any shape, e.g. from ``stark.dressed_moments``);
+    <C_20> (an array of any shape, e.g. from ``stark.dressed_moments``, or
+    one float, which is bitwise the matching element of the array call);
     ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
     The diagonal part is
     (abar - da <C_20>/3) |eps_perp|^2 + (abar + 2 da <C_20>/3) |eps_z|^2. A
@@ -381,16 +391,18 @@ def alpha_eff_from_moments(
     abar = (alpha_par + 2.0 * alpha_perp) / 3.0
     da = alpha_par - alpha_perp
     w_perp, w_z, k = polarization._factors
-    c0 = np.asarray(c20, dtype=float)
+    c0 = c20 if isinstance(c20, float) else np.asarray(c20, dtype=float)
     out = (abar - da * c0 / 3.0) * w_perp + (abar + 2.0 * da * c0 / 3.0) * w_z
     if label.m == 0:
         return out
-    if not label.branch:
-        raise ValueError(f"state ({label.j_tilde},{label.m}) is one of a degenerate pair; request a +/- branch")
-    t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else np.zeros_like(c0)
+    _require_branch(label)
+    t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else 0.0
     c = da * t * k
     orientation = _branch_orientation(c, alpha_par, alpha_perp)
-    split = np.where(orientation == 0, c.real, orientation * np.abs(c))
+    if isinstance(c, np.ndarray):
+        split = np.where(orientation == 0, c.real, orientation * np.abs(c))
+    else:
+        split = orientation * np.abs(c) if orientation else c.real
     return out + _branch_sign(label.branch) * split
 
 

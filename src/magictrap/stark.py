@@ -6,13 +6,15 @@ by J_tilde (the field-free J they connect to adiabatically); within a block
 that is simply ascending-energy order, since avoided crossings never close
 for this one-parameter family. Fields are in kV/cm throughout.
 
-One routine, ``_eigh``, diagonalizes diag - x C_10 over a stack of couplings
-x against the cached ``_geometry`` matrices, and refuses a coupling that is
-not finite and >= 0 before LAPACK sees it. ``solve`` calls it at one field in
-MHz (diag (B J)(J+1), x = d E; mixing rows), ``dressed_moments`` over a grid
-of beta = d E / B in units of B (x = beta; energies and the rank-2 moment
-<C_20>). The units stay apart: B times the cached J(J+1) rounds differently
-from (B J)(J+1), and ``convergence`` prints a difference of nearly equal energies.
+One routine, ``_eigh``, diagonalizes diag - x C_10 against the cached
+``_geometry`` matrices, at one float coupling x (checked and scaled as a
+float, so a one-field call builds no 0-d arrays) or over a stack of them, and
+refuses a coupling that is not finite and >= 0 before LAPACK sees it.
+``solve`` calls it at one field in MHz (diag (B J)(J+1), x = d E; mixing
+rows), ``dressed_moments`` at one beta = d E / B or over a grid of them, in
+units of B (x = beta; energies and the rank-2 moment <C_20>). The units stay
+apart: B times the cached J(J+1) rounds differently from (B J)(J+1), and
+``convergence`` prints a difference of nearly equal energies.
 
 <C_20> is the only moment a state needs: as matrices over J,
 <J,+1|C_2,+2|J',-1> = (<J,1|C_20|J',1> - delta_JJ')/sqrt(6), so the coherence
@@ -22,6 +24,7 @@ in every dressed state (and t = 0 for |M| != 1).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -138,27 +141,37 @@ def _check_j_max(m: int, j_max: int) -> None:
 
 
 def _eigh(diag, c10, x, name):
-    """Eigenvalues and eigenvector columns of diag - x C_10 for each coupling in ``x``.
+    """Eigenvalues and eigenvector columns of diag - x C_10, at one coupling or a stack of them.
 
-    A coupling that is not finite and >= 0 raises ValueError naming ``name``."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0)):
+    ``x`` is a float (Python or numpy), giving one matrix, or an array of any
+    shape, giving one matrix per entry; a float is checked and scaled as
+    a float, without building 0-d arrays. A coupling that is not finite and
+    >= 0 raises ValueError naming ``name`` before LAPACK sees it."""
+    if isinstance(x, float):
+        ok, scale = math.isfinite(x) and x >= 0, x
+    else:
+        x = np.asarray(x, dtype=float)
+        ok, scale = np.all(np.isfinite(x) & (x >= 0)), x[..., None, None]
+    if not ok:
         raise ValueError(f"{name} must be finite and >= 0")
-    return np.linalg.eigh(diag - x[..., None, None] * c10)
+    return np.linalg.eigh(diag - scale * c10)
 
 
 def solve(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> StarkEigensystem:
     """Diagonalize the M block at DC field ``e_dc_kv_cm``.
 
     H_{JJ'} = B J(J+1) delta_{JJ'} - d00 E <JM|C_10|J'M>, in MHz. Requires
-    j_max >= |m| + 3 so every retained state has mixing headroom.
+    j_max >= |m| + 3 so every retained state has mixing headroom. A finite
+    field whose coupling d E overflows is refused with a message saying so.
     """
     _check_j_max(m, j_max)
     if e_dc_kv_cm < 0:   # with d00 = 0 the coupling would be -0.0, which _eigh accepts
         raise ValueError("E_dc must be finite and >= 0")
+    coupling = spec.d00_debye * float(e_dc_kv_cm) * DEBYE_KVCM_TO_MHZ   # a float overflows to inf silently
+    if math.isinf(coupling) and math.isfinite(e_dc_kv_cm):
+        raise ValueError(f"d E overflows at E_dc = {e_dc_kv_cm:g} kV/cm")
     js = np.arange(abs(m), j_max + 1)
-    energies, vecs = _eigh(np.diag(spec.b_mhz * js * (js + 1)), _geometry(abs(m), j_max).c10,
-                           spec.d00_debye * e_dc_kv_cm * DEBYE_KVCM_TO_MHZ, "E_dc")
+    energies, vecs = _eigh(np.diag(spec.b_mhz * js * (js + 1)), _geometry(abs(m), j_max).c10, coupling, "E_dc")
     # column k of vecs is state k; flip it so its largest-magnitude entry is positive
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(js))]
     u = (vecs * np.where(peak < 0.0, -1.0, 1.0)).T.copy()
@@ -186,9 +199,10 @@ def dressed_moments(m: int, betas, j_max: int = 10):
     """Energies and <C_20> of every state of one M block, batched over beta.
 
     Builds H/B = diag J(J+1) - beta C_10 for the whole array ``betas``
-    (beta = d E / B, any shape) and diagonalizes the stack at once. Returns
-    ``(energies, c20)``, each of shape ``betas.shape + (n,)`` with the last
-    axis over J_tilde = |M| .. j_max: energies in units of B and <C_20>.
+    (beta = d E / B, any shape, or one float) and diagonalizes the stack at
+    once. Returns ``(energies, c20)``, each of shape ``betas.shape + (n,)``
+    with the last axis over J_tilde = |M| .. j_max: energies in units of B
+    and <C_20>.
     The moment is quadratic in the eigenvector, so its sign convention does
     not enter.
     """

@@ -269,6 +269,9 @@ def test_compute_errors_exit_2(capsys, argv):
          "overflows"),
         (["sweep", "--molecule", "KRb", "--var", "nu", "--range", "9000:9500", "--states", "0,0", "--field", "1e308"],
          "overflows"),
+        (["polar", "--molecule", "KRb", "--states", "0,0", "--field", "1e308"], "d E overflows"),
+        (["eigen", "--molecule", "KRb", "--states", "0,0", "--field", "1e308"], "d E overflows"),
+        (["convergence", "--molecule", "KRb", "--field", "1e308"], "d E overflows"),
         (["polar", "--molecule", "KRb", "--states", "0,0", "--intensity", "1e308"], "not finite"),
         (["sweep", "--molecule", "KRb", "--var", "E_dc", "--range", "0:5", "--states", "0,0", "--intensity", "1e308"],
          "not finite"),

@@ -549,6 +549,11 @@ def test_sweep_grid_validation():
         SweepGrid(variable="E_dc", start=0.0, stop=1.0, steps=1, molecule=KRB)
     with pytest.raises(ValueError):
         SweepGrid(variable="banana", start=0.0, stop=1.0, steps=5, molecule=KRB)
+    # refused before np.linspace could make inf or nan nodes of them
+    for start, stop, message in [(-1e308, 1e308, "range width overflows"), (math.nan, 1.0, "range bounds must be finite"),
+                                 (0.0, math.inf, "range bounds must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            SweepGrid("theta", start, stop, 3, KRB)
 
 
 def test_field_sweep_table():
@@ -653,3 +658,98 @@ def test_x_and_z_light_share_one_diagonalization_per_block(name, monkeypatch):
     assert sorted(calls) == sorted(blocks * 2)
     for got, want in zip(_values(shared), _values(separate), strict=True):
         assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
+
+
+# ------------------------------------- pairs the light cannot tell apart
+
+MAGIC = PolarizationVector.linear_deg(MAGIC_ANGLE_DEG)
+
+
+def _scan_degenerate_text(mol, pair, pol, e_range=(0.0, 15.0), n=magic._SCAN_POINTS):
+    """The DegenerateDifferenceError text of the scan, its count taken from _alpha_effs on the grid."""
+    a_par, a_perp = alpha_lambda_at(mol, 9174.0)
+    abar = (a_par + 2.0 * a_perp) / 3.0
+    a, b = _alpha_effs(mol, pair, np.linspace(*e_range, n), a_par, a_perp, (pol,), 10)[0]
+    count = np.count_nonzero(np.abs(a - b) < magic._DEGENERATE_RTOL * abs(abar))
+    return (f"alpha_eff({pair[0]}) - alpha_eff({pair[1]}) is identically ~0 over "
+            f"[{e_range[0]:.6g}, {e_range[1]:.6g}] kV/cm (within 1e-10 of abar = {abar:.6g} a.u. "
+            f"at {count}/{n} scan points); no isolated crossing exists")
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("diagonalized")
+
+
+@pytest.mark.parametrize(
+    "mol, pair, pol",
+    [
+        (KRB, GROUND_PAIR, MAGIC),
+        (RBCS, (StateLabel(1, 0), StateLabel(3, 0)), MAGIC),
+        (KRB, (StateLabel(0, 0), StateLabel(2, 2, "+")), MAGIC),
+        (ISO, GROUND_PAIR, Z),
+        (ISO, (StateLabel(2, 2, "-"), StateLabel(3, 0)), PolarizationVector.circular("+")),
+    ],
+    ids=["krb-ground-magic", "rbcs-m0-magic", "krb-m2-magic", "iso-ground-z", "iso-m2-sigma"],
+)
+def test_pair_the_light_cannot_split_is_refused_without_a_scan(mol, pair, pol, monkeypatch):
+    """The scan's own error, every node counted, with no diagonalization at all."""
+    want = _scan_degenerate_text(mol, pair, pol)
+    assert f"{magic._SCAN_POINTS}/{magic._SCAN_POINTS} scan points" in want
+    monkeypatch.setattr(stark, "_eigh", _no_eigh)
+    with pytest.raises(DegenerateDifferenceError) as exc:
+        find_magic_fields(mol, pair, pol)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize(
+    "kwargs, pair, message",
+    [
+        ({"e_range": (5.0, 1.0)}, GROUND_PAIR, "need e_range"),
+        ({"e_range": (0.0, 1e308)}, GROUND_PAIR, "beta = d E / B overflows at E_dc = 1e[+]308 kV/cm"),
+        ({}, (StateLabel(0, 0), StateLabel(11, 0)), "J_tilde = 11 outside"),
+        ({"j_max": 4}, (StateLabel(0, 0), StateLabel(2, 2, "+")), "j_max must be >= [|]m[|] [+] 3"),
+        ({}, (StateLabel(0, 0), StateLabel(2, 2)), "request a [+]/- branch"),
+        ({"nu_cm": 20000.0}, GROUND_PAIR, "outside the tabulated range"),
+    ],
+    ids=["range", "beta-overflow", "j-tilde", "j-max", "branchless", "nu"],
+)
+@pytest.mark.parametrize("mol, pol", [(KRB, MAGIC), (ISO, Z)], ids=["magic-angle", "isotropic"])
+def test_a_pair_the_light_cannot_split_is_checked_as_the_scan_checks_it(mol, pol, kwargs, pair, message, monkeypatch):
+    """Each ValueError the scan raises first comes first, with the scan's text and no warning."""
+    real_eigh = stark._eigh
+    monkeypatch.setattr(stark, "_eigh", _no_eigh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message) as fast:
+            find_magic_fields(mol, pair, pol, **kwargs)
+        # the scan refuses a branchless label only after its diagonalization
+        monkeypatch.setattr(stark, "_eigh", real_eigh)
+        monkeypatch.setattr(magic, "_identically_zero", lambda *args: False)
+        with pytest.raises(ValueError) as scan:
+            find_magic_fields(mol, pair, pol, **kwargs)
+    assert str(fast.value) == str(scan.value)
+
+
+@pytest.mark.parametrize(
+    "pair, pol, error",
+    [
+        # an M = 0 pair crosses where its <C_20> do, under any light but the magic angle's
+        (GROUND_PAIR, PolarizationVector.linear_deg(MAGIC_ANGLE_DEG + 1e-4), None),
+        # the branches of one |M| = 2 state never split, but z light fails the bound
+        ((StateLabel(2, 2, "+"), StateLabel(2, 2, "-")), Z, DegenerateDifferenceError),
+        # an |M| = 1 label carries the coherence, which splits the pair even at the magic angle
+        ((StateLabel(1, 0), StateLabel(1, 1, "+")), MAGIC, NoCrossingError),
+    ],
+    ids=["off-magic", "m2-branches", "m1-at-magic"],
+)
+def test_the_scan_runs_where_the_bound_fails(pair, pol, error, monkeypatch):
+    real_eigh, calls = stark._eigh, []
+    monkeypatch.setattr(stark, "_eigh", lambda *args: calls.append(args) or real_eigh(*args))
+    assert not magic._identically_zero(pair, pol, *alpha_lambda_at(KRB, 9174.0))
+    if error is None:
+        (rep,) = find_magic_fields(KRB, pair, pol)
+        assert rep.beta_star == pytest.approx(BETA_STAR, rel=1e-7)
+    else:
+        with pytest.raises(error):
+            find_magic_fields(KRB, pair, pol)
+    assert calls

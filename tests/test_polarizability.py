@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from magictrap.angular import f_factor
 from magictrap.polarizability import (
+    _DEGENERACY_RTOL,
+    _K_COHERENCE,
     MAGIC_ANGLE_DEG,
+    _branch_orientation,
     _intermediate_states,
     _sos_table,
     PolarizationVector,
@@ -312,6 +315,79 @@ def test_alpha_eff_from_moments_matches_closed_form(beta, m, dj, branch, pol_tex
     got = alpha_eff_from_moments(label, c20[dj], A_PAR, A_PERP, pol)
     ref = alpha_eff(alpha_tensor_closed_form(sys, label, A_PAR, A_PERP, pol), pol)
     assert abs(got - ref) <= 1e-13 * (A_PAR + 2 * A_PERP) / 3
+
+
+def _branch_orientation_where(c, alpha_par, alpha_perp):
+    """The branch rule as one np.where over any input: the reference for the scalar path."""
+    c = np.asarray(c)
+    scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
+    return np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, 0, np.where(c.real >= 0.0, 1, -1))
+
+
+def _alpha_eff_where(label, c20, alpha_par, alpha_perp, polarization):
+    """alpha_eff_from_moments on arrays throughout, written with _branch_orientation_where."""
+    abar = (alpha_par + 2.0 * alpha_perp) / 3.0
+    da = alpha_par - alpha_perp
+    e = polarization.array
+    w = np.abs(e) ** 2
+    k = complex(np.einsum("ab,a,b->", _K_COHERENCE, e, e.conj()))
+    c0 = np.asarray(c20, dtype=float)
+    out = (abar - da * c0 / 3.0) * (w[0] + w[1]) + (abar + 2.0 * da * c0 / 3.0) * w[2]
+    if label.m == 0:
+        return out
+    t = (c0 - 1.0) / math.sqrt(6.0) if abs(label.m) == 1 else np.zeros_like(c0)
+    c = da * t * k
+    orientation = _branch_orientation_where(c, alpha_par, alpha_perp)
+    split = np.where(orientation == 0, c.real, orientation * np.abs(c))
+    return out + {"+": 1, "-": -1}[label.branch] * split
+
+
+def _unit_vector(parts):
+    e = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    return PolarizationVector(tuple(e / np.linalg.norm(e)))
+
+
+_ANY_POLARIZATION = st.one_of(
+    st.sampled_from(["z", "x", "sigma+", "sigma-"]).map(PolarizationVector.parse),
+    st.floats(0.0, 180.0).map(PolarizationVector.linear_deg),
+    st.just(PolarizationVector.linear_deg(MAGIC_ANGLE_DEG)),
+    st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).filter(lambda v: np.linalg.norm(v) > 0.1).map(_unit_vector),
+)
+
+
+@given(
+    st.sampled_from([StateLabel(0, 0), StateLabel(2, 0), StateLabel(1, 1, "+"), StateLabel(1, 1, "-"),
+                     StateLabel(3, 1, "+"), StateLabel(2, 2, "+"), StateLabel(3, 2, "-")]),
+    _ANY_POLARIZATION,
+    st.floats(-500.0, 500.0),
+    st.one_of(st.floats(1.0, 600.0), st.floats(-600.0, -1.0), st.just(0.0), st.just(-0.0), st.floats(-1e-9, 1e-9)),
+    st.lists(st.one_of(st.floats(-0.5, 1.0), st.sampled_from([1.0, 0.0, -0.0, -0.5])), min_size=1, max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_alpha_eff_from_moments_on_one_float_is_bitwise_the_array_call(label, pol, a_perp, da, c20s):
+    """A float or np.float64 <C_20> gives, byte for byte, the element the array call gives.
+
+    The array call itself must be what the np.where form of the branch rule
+    gives. The drawn moments are joined by ones that put |c| just below and
+    just above the degeneracy threshold, and by +-0.
+    """
+    a_par = a_perp + da
+    k = complex(np.einsum("ab,a,b->", _K_COHERENCE, pol.array, pol.array.conj()))
+    if abs(da * k) > 0:
+        # |c| = |da k| |c0 - 1| / sqrt(6) against 1e-12 max(|a_par|, |a_perp|)
+        edge = math.sqrt(6.0) * _DEGENERACY_RTOL * max(abs(a_par), abs(a_perp), 1e-300) / abs(da * k)
+        c20s = c20s + [1.0 + sign * f * edge for sign in (1, -1) for f in (0.5, 2.0) if f * edge < 0.5]
+    arr = alpha_eff_from_moments(label, np.array(c20s), a_par, a_perp, pol)
+    assert arr.tobytes() == _alpha_eff_where(label, np.array(c20s), a_par, a_perp, pol).tobytes()
+    per_nu = alpha_eff_from_moments(label, c20s[0], np.array([a_par] * 2), np.array([a_perp] * 2), pol)
+    assert per_nu.tobytes() == np.array([arr[0]] * 2).tobytes()
+    for i, c0 in enumerate(c20s):
+        for one in (float(c0), np.float64(c0)):
+            got = alpha_eff_from_moments(label, one, a_par, a_perp, pol)
+            assert np.float64(got).tobytes() == arr[i].tobytes(), (one, got, arr[i])
+        if abs(label.m) == 1:
+            c = da * ((c0 - 1.0) / math.sqrt(6.0)) * k
+            assert _branch_orientation(c, a_par, a_perp) == _branch_orientation_where(c, a_par, a_perp)
 
 
 def test_alpha_eff_from_moments_degenerate_pair_under_z():

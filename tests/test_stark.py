@@ -269,6 +269,20 @@ def test_bad_field_is_refused_before_lapack(field, monkeypatch):
                 call()
 
 
+@pytest.mark.parametrize("field", [1e308, np.float64(1e308)])
+def test_overflowing_coupling_is_named_before_lapack(field, monkeypatch):
+    """A finite field whose d E overflows is refused as an overflow, with no warning and no eigh call."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve(KRB, field, 0), lambda: check_convergence(KRB, field, 1)):
+            with pytest.raises(ValueError, match="d E overflows at E_dc = 1e[+]308 kV/cm"):
+                call()
+
+
 def test_solve_keeps_its_mhz_diagonal():
     """solve builds diag (B J)(J+1) in MHz, not B times the cached J(J+1); the two round differently."""
     for spec, m, e in ((KRB, 0, 15.0), (RBCS, 1, 2.5), (KRB, 3, 30.0)):
@@ -338,6 +352,10 @@ def test_dressed_moments_shapes_and_validation():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             dressed_moments(0, [1.0, bad])
+        # one float beta takes _eigh's scalar path, which refuses it as well
+        for one in (bad, np.float64(bad)):
+            with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+                dressed_moments(0, one)
     with pytest.raises(ValueError):
         dressed_moments(2, 1.0, j_max=4)
 
