@@ -31,7 +31,7 @@ one field per call and one diagonalization per |M| block, the field a float
 throughout. A difference that is ~0 on most nodes is degenerate instead.
 For a pair with no |M| = 1 state the light alone can prove that (the magic
 angle, an isotropic molecule; see ``_identically_zero``), and the search
-then raises the scan's error without a scan.
+then raises the scan's error after evaluating its first node alone.
 ``_brent`` ports SciPy's ``brentq`` with bitwise the same roots and step
 counts, so the package needs numpy alone at run time.
 """
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, stark
-from .polarizability import PolarizationVector, _require_branch, alpha_eff_from_moments, stark_shift
+from .polarizability import PolarizationVector, alpha_eff_from_moments, stark_shift
 from .stark import StateLabel
 from .tableio import Column, ResultTable
 from .units import MoleculeSpec, alpha_lambda_at, load_molecule
@@ -121,15 +121,6 @@ def _check_beta(molecule, e_max):
         raise ValueError(f"beta = d E / B overflows at E_dc = {e_max:g} kV/cm")
 
 
-def _check_labels(labels, j_max):
-    """The label and basis errors of ``_alpha_effs``, in its order, before any numpy work."""
-    for lb in labels:
-        if lb.j_tilde > j_max:
-            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
-    for m in {abs(lb.m) for lb in labels}:
-        stark._check_j_max(m, j_max)
-
-
 def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_max):
     """alpha_eff of each label at the fields ``e_dc`` (kV/cm, any shape), per polarization.
 
@@ -137,7 +128,9 @@ def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_
     and every polarization; the result holds one list of per-label arrays for
     each. ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
     """
-    _check_labels(labels, j_max)
+    for lb in labels:
+        if lb.j_tilde > j_max:
+            raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
     # one field stays a float down to stark._eigh: no 0-d arrays on a Brent step
     betas = molecule.beta(float(e_dc) if np.ndim(e_dc) == 0 else np.asarray(e_dc, dtype=float))
     c20_blocks = {m: stark.dressed_moments(m, betas, j_max)[1] for m in {abs(lb.m) for lb in labels}}
@@ -399,8 +392,8 @@ def find_magic_fields(
     difference keeps one sign, DegenerateDifferenceError when it is
     identically ~0 over most of the range (e.g. magic-angle polarization).
     A pair that the light provably cannot tell apart (``_identically_zero``)
-    gets that error with every node counted, without a diagonalization, once
-    every ValueError the scan would raise first has been checked.
+    gets that error with every node counted after one evaluation at the
+    first node, which raises any ValueError the scan would raise first.
     """
     state_a, state_b = pair
     lo, hi = float(e_range[0]), float(e_range[1])
@@ -422,14 +415,12 @@ def find_magic_fields(
             "scan points); no isolated crossing exists"
         )
 
-    if _identically_zero(pair, polarization, a_par, a_perp):
-        _check_labels(pair, j_max)
-        for lb in pair:
-            _require_branch(lb)
-        raise degenerate(scan_points)
-
     def kernel(e_dc):
         return _alpha_effs(molecule, pair, e_dc, a_par, a_perp, (polarization,), j_max)[0]
+
+    if _identically_zero(pair, polarization, a_par, a_perp):
+        kernel(lo)   # the scan's label, basis and branch errors, in its order, at its first node
+        raise degenerate(scan_points)
 
     grid = np.linspace(lo, hi, scan_points)
     scan_a, scan_b = kernel(grid)

@@ -378,8 +378,7 @@ def alpha_eff_from_moments(
 
     Equals ``alpha_eff(alpha_tensor_closed_form(sys, label, ...,
     polarization), polarization)`` without building tensors: ``c20`` is
-    <C_20> (an array of any shape, e.g. from ``stark.dressed_moments``, or
-    one float, which is bitwise the matching element of the array call);
+    <C_20> (an array of any shape, e.g. from ``stark.dressed_moments``);
     ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
     The diagonal part is
     (abar - da <C_20>/3) |eps_perp|^2 + (abar + 2 da <C_20>/3) |eps_z|^2. A
@@ -391,7 +390,7 @@ def alpha_eff_from_moments(
     abar = (alpha_par + 2.0 * alpha_perp) / 3.0
     da = alpha_par - alpha_perp
     w_perp, w_z, k = polarization._factors
-    c0 = c20 if isinstance(c20, float) else np.asarray(c20, dtype=float)
+    c0 = np.asarray(c20, dtype=float)
     out = (abar - da * c0 / 3.0) * w_perp + (abar + 2.0 * da * c0 / 3.0) * w_z
     if label.m == 0:
         return out

@@ -676,8 +676,11 @@ def _scan_degenerate_text(mol, pair, pol, e_range=(0.0, 15.0), n=magic._SCAN_POI
             f"at {count}/{n} scan points); no isolated crossing exists")
 
 
-def _no_eigh(*args, **kwargs):
-    raise AssertionError("diagonalized")
+def _record_eigh(monkeypatch):
+    """Patch ``stark._eigh`` to log the shape of each coupling it diagonalizes."""
+    real_eigh, shapes = stark._eigh, []
+    monkeypatch.setattr(stark, "_eigh", lambda diag, c10, x, name: shapes.append(np.shape(x)) or real_eigh(diag, c10, x, name))
+    return shapes
 
 
 @pytest.mark.parametrize(
@@ -692,13 +695,14 @@ def _no_eigh(*args, **kwargs):
     ids=["krb-ground-magic", "rbcs-m0-magic", "krb-m2-magic", "iso-ground-z", "iso-m2-sigma"],
 )
 def test_pair_the_light_cannot_split_is_refused_without_a_scan(mol, pair, pol, monkeypatch):
-    """The scan's own error, every node counted, with no diagonalization at all."""
+    """The scan's own error, every node counted, after one single-field diagonalization per block."""
     want = _scan_degenerate_text(mol, pair, pol)
     assert f"{magic._SCAN_POINTS}/{magic._SCAN_POINTS} scan points" in want
-    monkeypatch.setattr(stark, "_eigh", _no_eigh)
+    shapes = _record_eigh(monkeypatch)
     with pytest.raises(DegenerateDifferenceError) as exc:
         find_magic_fields(mol, pair, pol)
     assert str(exc.value) == want
+    assert shapes == [()] * len({abs(lb.m) for lb in pair})
 
 
 @pytest.mark.parametrize(
@@ -716,14 +720,13 @@ def test_pair_the_light_cannot_split_is_refused_without_a_scan(mol, pair, pol, m
 @pytest.mark.parametrize("mol, pol", [(KRB, MAGIC), (ISO, Z)], ids=["magic-angle", "isotropic"])
 def test_a_pair_the_light_cannot_split_is_checked_as_the_scan_checks_it(mol, pol, kwargs, pair, message, monkeypatch):
     """Each ValueError the scan raises first comes first, with the scan's text and no warning."""
-    real_eigh = stark._eigh
-    monkeypatch.setattr(stark, "_eigh", _no_eigh)
+    shapes = _record_eigh(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message) as fast:
             find_magic_fields(mol, pair, pol, **kwargs)
-        # the scan refuses a branchless label only after its diagonalization
-        monkeypatch.setattr(stark, "_eigh", real_eigh)
+        # at most one single-field diagonalization per block before the error
+        assert len(shapes) <= len({abs(lb.m) for lb in pair}) and set(shapes) <= {()}
         monkeypatch.setattr(magic, "_identically_zero", lambda *args: False)
         with pytest.raises(ValueError) as scan:
             find_magic_fields(mol, pair, pol, **kwargs)

@@ -364,8 +364,8 @@ _ANY_POLARIZATION = st.one_of(
     st.lists(st.one_of(st.floats(-0.5, 1.0), st.sampled_from([1.0, 0.0, -0.0, -0.5])), min_size=1, max_size=5),
 )
 @settings(max_examples=300, deadline=None)
-def test_alpha_eff_from_moments_on_one_float_is_bitwise_the_array_call(label, pol, a_perp, da, c20s):
-    """A float or np.float64 <C_20> gives, byte for byte, the element the array call gives.
+def test_alpha_eff_from_moments_on_one_moment_is_bitwise_the_array_call(label, pol, a_perp, da, c20s):
+    """One <C_20>, 0-d as a Brent step passes it, gives byte for byte the element the array call gives.
 
     The array call itself must be what the np.where form of the branch rule
     gives. The drawn moments are joined by ones that put |c| just below and
@@ -382,9 +382,8 @@ def test_alpha_eff_from_moments_on_one_float_is_bitwise_the_array_call(label, po
     per_nu = alpha_eff_from_moments(label, c20s[0], np.array([a_par] * 2), np.array([a_perp] * 2), pol)
     assert per_nu.tobytes() == np.array([arr[0]] * 2).tobytes()
     for i, c0 in enumerate(c20s):
-        for one in (float(c0), np.float64(c0)):
-            got = alpha_eff_from_moments(label, one, a_par, a_perp, pol)
-            assert np.float64(got).tobytes() == arr[i].tobytes(), (one, got, arr[i])
+        got = alpha_eff_from_moments(label, np.asarray(c0), a_par, a_perp, pol)
+        assert np.float64(got).tobytes() == arr[i].tobytes(), (c0, got, arr[i])
         if abs(label.m) == 1:
             c = da * ((c0 - 1.0) / math.sqrt(6.0)) * k
             assert _branch_orientation(c, a_par, a_perp) == _branch_orientation_where(c, a_par, a_perp)
