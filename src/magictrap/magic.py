@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, stark
-from .polarizability import PolarizationVector, alpha_eff_from_moments, stark_shift
+from .polarizability import PolarizationVector, _require_branch, alpha_eff_from_moments, stark_shift
 from .stark import StateLabel
 from .tableio import Column, ResultTable
 from .units import MoleculeSpec, alpha_lambda_at, load_molecule
@@ -127,10 +127,14 @@ def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_
     One ``stark.dressed_moments`` call per |M| block covers the whole grid
     and every polarization; the result holds one list of per-label arrays for
     each. ``alpha_par`` and ``alpha_perp`` may be arrays that broadcast against it.
+    Labels are checked before any diagonalization: J_tilde against ``j_max``
+    first, then that every |M| > 0 label names a branch.
     """
     for lb in labels:
         if lb.j_tilde > j_max:
             raise ValueError(f"J_tilde = {lb.j_tilde} outside block |M| = {abs(lb.m)}, J_max = {j_max}")
+    for lb in labels:
+        _require_branch(lb)
     # one field stays a float down to stark._eigh: no 0-d arrays on a Brent step
     betas = molecule.beta(float(e_dc) if np.ndim(e_dc) == 0 else np.asarray(e_dc, dtype=float))
     c20_blocks = {m: stark.dressed_moments(m, betas, j_max)[1] for m in {abs(lb.m) for lb in labels}}
@@ -139,7 +143,9 @@ def _alpha_effs(molecule, labels, e_dc, alpha_par, alpha_perp, polarizations, j_
             for pol in polarizations]
 
 
-_X_AND_Z = (PolarizationVector.x(), PolarizationVector.z())
+# built once: each caches the factors alpha_eff_from_moments reads of it
+_X, _Z = PolarizationVector.x(), PolarizationVector.z()
+_X_AND_Z = (_X, _Z)
 
 
 def _alpha_effs_theta(molecule, labels, e_dc, alpha_par, alpha_perp, theta_deg, j_max):
@@ -161,7 +167,7 @@ def sweep(grid: SweepGrid, states, intensity_w_cm2: float = 1.0) -> ResultTable:
     _check_beta(mol, grid.stop if grid.variable == "E_dc" else grid.e_dc_kv_cm)
     meta = dict(molecule=mol.name, variable=grid.variable, intensity_w_cm2=f"{intensity_w_cm2:.12g}",
                 j_max=str(grid.j_max))
-    pol = grid.polarization or PolarizationVector.z()
+    pol = grid.polarization or _Z
     if grid.variable == "theta":
         a_par, a_perp = alpha_lambda_at(mol, grid.nu_cm)
         alphas = _alpha_effs_theta(mol, labels, grid.e_dc_kv_cm, a_par, a_perp, x, grid.j_max)
@@ -223,7 +229,7 @@ def emit_figure_data(figure: str, molecule, nu_cm: float = 9174.0, j_max: int = 
 
     if figure == "fig2":
         fields = np.linspace(0.0, 15.0, 61)
-        pols = {"z": PolarizationVector.z(), "x": PolarizationVector.x()}
+        pols = {"z": _Z, "x": _X}
         # axes (polarization, state, field), laid out as (field, polarization, state)
         alphas = np.array(_alpha_effs(mol, _FIG_STATES, fields, a_par, a_perp, pols.values(), j_max))
         axes = [("E_dc", "kV/cm", fields), ("polarization", "1", list(pols)), states]
@@ -525,7 +531,7 @@ def magic_angle(
     branches of one |M| = 1 state meet only at theta = 0, which is no crossing.
     """
     # the coefficient is da (3 cos^2 - 1)/3, plus +-da sin^2/6 through t = (<C_20> - 1)/sqrt(6)
-    # for an |M| = 1 branch (a branchless one is refused by alpha_eff_from_moments)
+    # for an |M| = 1 branch (a branchless one is refused by _alpha_effs)
     families = {{"+": (1, 5), "-": (3, 7)}.get(lb.branch, (1, 3)) if abs(lb.m) == 1 else (1, 3) for lb in pair}
     num, den = families.pop() if len(families) == 1 else (1, 3)
     theta0 = math.degrees(math.acos(1.0 / math.sqrt(den / num)))   # MAGIC_ANGLE_DEG for 1/3

@@ -217,10 +217,14 @@ def _branch_orientation(c, alpha_par, alpha_perp):
     and the conventional (1, +-1)/sqrt(2) stay. A scalar ``c`` gives an int
     by the same comparisons, without building arrays; |c| comes from the
     ``np.abs`` loop in both cases, since Python's ``abs`` of a complex rounds
-    differently.
+    differently. Float polarizabilities give the scale as a float in both
+    cases; arrays of them (a nu sweep) give it elementwise.
     """
     if isinstance(c, np.ndarray):
-        scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
+        if isinstance(alpha_par, float) and isinstance(alpha_perp, float):
+            scale = max(abs(alpha_par), abs(alpha_perp), 1e-300)
+        else:
+            scale = np.maximum(np.maximum(np.abs(alpha_par), np.abs(alpha_perp)), 1e-300)
         return np.where(np.abs(c) <= _DEGENERACY_RTOL * scale, 0, np.where(c.real >= 0.0, 1, -1))
     if np.abs(c) <= _DEGENERACY_RTOL * max(abs(alpha_par), abs(alpha_perp), 1e-300):
         return 0

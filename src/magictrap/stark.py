@@ -151,7 +151,7 @@ def _eigh(diag, c10, x, name):
         ok, scale = math.isfinite(x) and x >= 0, x
     else:
         x = np.asarray(x, dtype=float)
-        ok, scale = np.all(np.isfinite(x) & (x >= 0)), x[..., None, None]
+        ok, scale = (np.isfinite(x) & (x >= 0)).all(), x[..., None, None]
     if not ok:
         raise ValueError(f"{name} must be finite and >= 0")
     return np.linalg.eigh(diag - scale * c10)
@@ -204,13 +204,15 @@ def dressed_moments(m: int, betas, j_max: int = 10):
     with the last axis over J_tilde = |M| .. j_max: energies in units of B
     and <C_20>.
     The moment is quadratic in the eigenvector, so its sign convention does
-    not enter.
+    not enter. It is one ``einsum`` over the J axis of the eigenvectors and
+    C_20 times them, which gives bitwise the elementwise product summed over
+    that axis, without the temporary product array.
     """
     _check_j_max(m, j_max)
     geo = _geometry(abs(m), j_max)
     energies, vecs = _eigh(geo.rot, geo.c10, betas, "beta")
     # column k of vecs is state k: sum_{J J'} v_Jk (C_20)_JJ' v_J'k
-    return energies, np.sum(vecs * (geo.c20 @ vecs), axis=-2)
+    return energies, np.einsum("...jk,...jk->...k", vecs, geo.c20 @ vecs)
 
 
 def check_convergence(spec: MoleculeSpec, e_dc_kv_cm: float, m: int, j_max: int = 10) -> np.ndarray:

@@ -7,8 +7,10 @@ exist only when the table is written (and as the read-only ``rows`` view).
 
 Every emitted number is ``fmt_float`` of it: 12 significant digits,
 switching to scientific notation for |x| < 1e-3 or |x| >= 1e6; strings pass
-through verbatim. A 1-D float64 column takes one ``.12g`` pass, and one mask
-sends only its zero, tiny, huge and non-finite cells through ``fmt_float``.
+through verbatim. A 1-D float64 column is written by one ``%.12g`` format of
+the whole column, which gives each cell the text ``format(x, ".12g")`` does,
+and one mask sends only its zero, tiny, huge and non-finite cells through
+``fmt_float``.
 Identical inputs therefore yield byte-identical CSV/JSON, which the tests
 rely on for diffing. CSV rows are joined with ``","``; ``csv.writer`` quotes
 the strings that may need it (no number text does). JSON writes a non-finite
@@ -51,7 +53,8 @@ def _json_number(x):
 
 def _float_texts(values):
     """``fmt_float`` of each cell of a 1-D float64 array, and the cells it writes other than ``.12g``."""
-    texts = list(map("{:.12g}".format, values.tolist()))
+    # one %-format of the whole column; % and format share the C double-to-text routine
+    texts = ("%.12g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
     mag = np.abs(values)
     others = np.flatnonzero(~((mag >= 1e-3) & (mag < 1e6))).tolist()   # nan compares False
     for i in others:

@@ -734,6 +734,25 @@ def test_a_pair_the_light_cannot_split_is_checked_as_the_scan_checks_it(mol, pol
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_magic_fields(KRB, (StateLabel(0, 0), StateLabel(1, 1)), Z),
+        lambda: find_magic_fields(KRB, (StateLabel(0, 0), StateLabel(2, 2)), MAGIC),
+        lambda: magic_angle((StateLabel(1, 1), StateLabel(2, 1, "+")), KRB),
+        lambda: sweep(SweepGrid("E_dc", 0.0, 5.0, 7, KRB), [StateLabel(0, 0), StateLabel(2, -2)]),
+        # a negative field would be refused by _eigh; the label is refused first
+        lambda: sweep(SweepGrid("E_dc", -1.0, 5.0, 7, KRB), [StateLabel(1, 1)]),
+    ],
+    ids=["scan", "shortcut", "magic-angle", "sweep", "sweep-negative-range"],
+)
+def test_a_branchless_label_is_refused_before_any_diagonalization(call, monkeypatch):
+    shapes = _record_eigh(monkeypatch)
+    with pytest.raises(ValueError, match="one of a degenerate pair; request a [+]/- branch"):
+        call()
+    assert shapes == []
+
+
+@pytest.mark.parametrize(
     "pair, pol, error",
     [
         # an M = 0 pair crosses where its <C_20> do, under any light but the magic angle's

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magictrap import stark
 from magictrap.angular import c_tensor_element
 from magictrap.stark import (
     StateLabel,
@@ -334,6 +335,28 @@ def test_dressed_moments_match_per_field_solve(betas, m):
         assert np.max(np.abs(energies[i] - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
         for k in range(len(sys.energies)):
             assert c20[i, k] == pytest.approx(dressed_c20(sys, abs(m) + k), rel=0, abs=1e-13)
+
+
+@given(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=3, max_value=20),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=40.0),
+        st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=1, max_size=64).map(np.array),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_dressed_c20_contraction_is_bitwise_the_elementwise_sum(m, j_max, betas):
+    """<C_20> from the einsum equals, bit for bit, sum over J of v * (C_20 v)."""
+    j_max = max(j_max, abs(m) + 3)
+    geo = stark._geometry(abs(m), j_max)
+    _, vecs = stark._eigh(geo.rot, geo.c10, betas, "beta")
+    reference = np.sum(vecs * (geo.c20 @ vecs), axis=-2)
+    _, c20 = dressed_moments(m, betas, j_max)
+    assert c20.tobytes() == reference.tobytes(), (
+        "dressed_moments' einsum no longer sums over J in the order of np.sum(..., axis=-2); "
+        "a change in numpy's einsum loop order is the likely cause"
+    )
 
 
 def test_dressed_moments_field_free_c20():

@@ -74,6 +74,21 @@ def test_float_array_cells_are_fmt_float_cell_by_cell(values):
     assert _outcome(col.json_cells) == _outcome(lambda: [_json_number(v) for v in col.cells])
 
 
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=_FLOATS))
+@example(np.array(_EDGES))
+@example(np.array([]))
+@settings(max_examples=300, deadline=None)
+def test_float_texts_is_fmt_float_of_each_cell(values):
+    """The one %-format pass plus the mask writes each cell as fmt_float does.
+
+    The mask names exactly the cells outside [1e-3, 1e6) in magnitude: zeros,
+    tiny and huge values, nan and infinities.
+    """
+    texts, others = tableio._float_texts(values)
+    assert texts == [fmt_float(x) for x in values]
+    assert others == [i for i, x in enumerate(values.tolist()) if not 1e-3 <= abs(x) < 1e6]
+
+
 @given(st.one_of(
     hnp.arrays(st.sampled_from([np.bool_, np.int64, np.float32]), st.integers(0, 20)),
     st.lists(st.one_of(_FLOATS, st.integers(-10**8, 10**8), st.booleans(), st.text(max_size=4)), max_size=20),
